@@ -403,6 +403,7 @@ def _cache_stats_line(result) -> Optional[str]:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    from .codegen import UnsupportedCodegenTarget
     from .runtime.errors import StreamRuntimeError
     from .simd import UnknownTargetError
     try:
@@ -412,9 +413,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(file=sys.stderr)
         print(_targets_table(), file=sys.stderr)
         return 2
-    except StreamRuntimeError as exc:
-        # Serving-layer misuse (unknown policy, pool failures) and other
-        # runtime errors: report, don't traceback.
+    except (StreamRuntimeError, UnsupportedCodegenTarget) as exc:
+        # Serving-layer misuse (unknown policy, pool failures), other
+        # runtime errors, `--cpp` on a non-SSE target: report, don't
+        # traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

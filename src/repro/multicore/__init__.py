@@ -1,22 +1,12 @@
 """Multicore partitioning, the Figure 13 makespan model, and the
 thread-based parallel runtime that validates it."""
 
-from .channels import (
-    Channel,
-    ChannelAborted,
-    ChannelError,
-    ChannelStallTimeout,
-    ChannelStats,
+from ..plan.capacity import (
     plan_capacities,
     sequential_max_occupancy,
     steady_crossings,
 )
-from .parallel import (
-    ParallelExecutionResult,
-    calibrated_pace,
-    parallel_execute,
-)
-from .partition import (
+from ..plan.partitioners import (
     Partition,
     UnknownPartitionerError,
     get_partitioner,
@@ -24,6 +14,18 @@ from .partition import (
     partition_contiguous,
     partition_lpt,
     register_partitioner,
+)
+from .channels import (
+    Channel,
+    ChannelAborted,
+    ChannelError,
+    ChannelStallTimeout,
+    ChannelStats,
+)
+from .parallel import (
+    ParallelExecutionResult,
+    calibrated_pace,
+    parallel_execute,
 )
 from .simulate import (
     MulticoreResult,

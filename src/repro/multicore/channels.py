@@ -1,6 +1,6 @@
 """Bounded cross-core channels for the parallel runtime.
 
-When a :class:`~repro.multicore.partition.Partition` places the two
+When a :class:`~repro.plan.partitioners.Partition` places the two
 endpoints of a tape on different cores, the tape becomes a
 :class:`Channel`: a thread-safe, *bounded* FIFO with blocking semantics on
 both sides.  A reader that needs data which has not been produced yet
@@ -14,9 +14,7 @@ Capacity planning
 
 Capacity planning lives in :mod:`repro.plan.capacity` (the planning
 subsystem prices a candidate partition's buffer memory with the same
-planner the runtime allocates from); :func:`plan_capacities`,
-:func:`sequential_max_occupancy`, and :func:`steady_crossings` are
-re-exported here for the historical import path.  Short version: each
+planner the runtime allocates from).  Short version: each
 cut tape is granted its sequential maximum occupancy (liveness, see the
 deadlock-freedom argument there) plus ``slack_iterations`` steady
 iterations of double-buffer headroom.
@@ -36,18 +34,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
 from ..obs.tracer import Tracer
-from ..plan.capacity import (
-    plan_capacities,
-    sequential_max_occupancy,
-    steady_crossings,
-)
 from ..runtime.errors import StreamRuntimeError
 from ..runtime.tape import Tape
 
 __all__ = [
     "Channel", "ChannelAborted", "ChannelError", "ChannelStallTimeout",
-    "ChannelStats", "RunAbort", "plan_capacities", "sequential_max_occupancy",
-    "steady_crossings",
+    "ChannelStats", "RunAbort",
 ]
 
 
@@ -303,5 +295,3 @@ class Channel(Tape):
         with self._cond:
             return Tape.__len__(self)
 
-
-# Capacity planning moved to repro.plan.capacity (re-exported above).

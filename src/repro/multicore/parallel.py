@@ -23,7 +23,7 @@ Correctness story (enforced by the parity suite and the fuzz oracle):
   per-core bags therefore reproduces the sequential counter bags
   event-for-event (init and steady phases separately).
 * **Deadlock freedom** — channel capacities come from
-  :func:`~repro.multicore.channels.plan_capacities`, which grants at
+  :func:`~repro.plan.capacity.plan_capacities`, which grants at
   least the sequential maximum occupancy plus one steady iteration of
   double-buffer headroom.
 
@@ -52,10 +52,10 @@ from ..runtime.backends import resolve_backend
 from ..runtime.tape import Tape
 from ..schedule.steady_state import Schedule, build_schedule
 from ..simd.machine import CORE_I7, MachineDescription
+from ..plan.capacity import plan_capacities
 from ..plan.context import profile_actor_costs
-from ..plan.partitioners import get_partitioner
-from .channels import Channel, ChannelAborted, RunAbort, plan_capacities
-from .partition import Partition, partition_lpt
+from ..plan.partitioners import Partition, get_partitioner, partition_lpt
+from .channels import Channel, ChannelAborted, RunAbort
 
 __all__ = ["ParallelExecutionResult", "parallel_execute", "calibrated_pace"]
 
@@ -204,7 +204,7 @@ def parallel_execute(graph: StreamGraph,
 
     ``partition`` may be a :class:`Partition`, a raw ``actor id -> core``
     dict, or ``None`` (profile the graph and apply ``partitioner``,
-    default :func:`~repro.multicore.partition.partition_lpt`).  The
+    default :func:`~repro.plan.partitioners.partition_lpt`).  The
     partition must cover every actor with cores in ``range(cores)``.
 
     ``channel_capacities`` overrides the planned per-cut-tape bounds

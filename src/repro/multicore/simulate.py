@@ -16,12 +16,11 @@ from typing import Callable, Dict, List, Optional, Union
 from ..graph.stream_graph import StreamGraph
 from ..perf import events as ev
 from ..plan.context import profile_actor_costs
-from ..plan.partitioners import get_partitioner
+from ..plan.partitioners import Partition, get_partitioner, partition_lpt
 from ..runtime.errors import StreamRuntimeError
 from ..runtime.executor import execute
 from ..simd.machine import MachineDescription
 from ..simd.pipeline import MacroSSOptions, compile_graph
-from .partition import Partition, partition_lpt
 
 __all__ = ["MulticoreResult", "multicore_speedups", "profile_actor_costs",
            "simulate_multicore"]

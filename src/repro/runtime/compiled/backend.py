@@ -6,8 +6,8 @@ canonicalises the actor's bodies, fetches (or compiles) the shared kernels
 from the :class:`~.cache.KernelCache`, and wraps them in a
 :class:`CompiledActor` that is API-compatible with
 :class:`repro.runtime.interpreter.Interpreter` (``.rt``, ``run_init``,
-``run_work``).  Splitters and joiners get native closure fast paths from
-:mod:`.movers`.
+``run_work``).  Splitters and joiners get the per-firing closures derived
+in :mod:`repro.runtime.movers`.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from ...graph.stream_graph import TapeEdge
 from ...ir import stmt as S
 from ..errors import InterpreterError
 from ..interpreter import ActorRuntime
+from ..movers import make_mover
 from .cache import KernelCache
 from .canon import TypedCanonical, is_param_slot, typed_canonicalize
 from .compiler import Frame, Kernel, Specialization
-from .movers import make_mover
 from .shapes import shape_of_state
 
 __all__ = ["CompiledActor", "CompiledBackend"]
@@ -129,5 +129,5 @@ class CompiledBackend:
                                  work_kernel, work_canon.consts)
 
     def make_mover(self, run: Any, actor: Any):
-        """Native splitter/joiner fast path (see :mod:`.movers`)."""
+        """Native splitter/joiner fast path (:mod:`repro.runtime.movers`)."""
         return make_mover(run, actor)

@@ -411,35 +411,13 @@ def _merged_phase_admissible(run: _GraphRun, phase, iterations: int) -> bool:
     levels = {tid: len(tape) for tid, tape in run.tapes.items()}
     for actor_id, firings in phase:
         n = firings * iterations
-        spec = graph.actors[actor_id].spec
-        reads: List[Any] = []
-        writes: List[Any] = []
-        if isinstance(spec, FilterSpec):
-            in_edge = graph.input_tape(actor_id)
-            if in_edge is not None:
-                reads.append((in_edge.id, spec.pop, spec.peek))
-            out_edge = graph.output_tape(actor_id)
-            if out_edge is not None:
-                writes.append((out_edge.id, spec.push))
-        elif isinstance(spec, SplitterSpec):
-            pop = spec.pop_per_exec
-            reads.append((graph.in_tapes(actor_id)[0].id, pop, pop))
-            writes.extend((e.id, spec.push_per_exec(e.src_port))
-                          for e in graph.out_tapes(actor_id))
-        elif isinstance(spec, JoinerSpec):
-            reads.extend((e.id, spec.weights[e.dst_port],
-                          spec.weights[e.dst_port])
-                         for e in graph.in_tapes(actor_id))
-            outs = graph.out_tapes(actor_id)
-            if outs:
-                writes.append((outs[0].id, spec.push_per_exec))
-        elif isinstance(spec, (HSplitterSpec, HJoinerSpec)):
-            pop = spec.pop_per_exec
-            reads.append((graph.in_tapes(actor_id)[0].id, pop, pop))
-            outs = graph.out_tapes(actor_id)
-            if outs:
-                writes.append((outs[0].id, spec.push_per_exec))
-        else:
+        try:
+            reads = [(e.id, graph.pop_rate(actor_id, e.dst_port),
+                      graph.peek_rate(actor_id, e.dst_port))
+                     for e in graph.in_tapes(actor_id)]
+            writes = [(e.id, graph.push_rate(actor_id, e.src_port))
+                      for e in graph.out_tapes(actor_id)]
+        except TypeError:   # unknown spec: no declared rates to simulate
             return False
         for tid, pop, window in reads:
             if tid not in levels:

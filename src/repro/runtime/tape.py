@@ -610,3 +610,26 @@ class NdTape(Tape):
         self._head = self._wp
         self._after_read()
         return items
+
+
+_CHANNEL_CLS: Optional[type] = None
+
+
+def tape_mode(tape: Any) -> Optional[str]:
+    """Classify a tape for the batch paths: ``"plain"`` (list tape),
+    ``"nd"`` (ndarray tape), ``"channel"`` (multicore bounded channel —
+    bulk ops block/commit under its lock), or ``None`` (unknown subclass:
+    refuse the batch)."""
+    tt = type(tape)
+    if tt is Tape:
+        return "plain"
+    if tt is NdTape:
+        return "nd"
+    # Lazy import: repro.multicore imports the runtime package.
+    global _CHANNEL_CLS
+    if _CHANNEL_CLS is None:
+        from ..multicore.channels import Channel
+        _CHANNEL_CLS = Channel
+    if isinstance(tape, _CHANNEL_CLS):
+        return "channel"
+    return None

@@ -12,16 +12,8 @@ and the decision — ``"vector"`` or ``"fallback: <reason>"`` — is recorded
 per actor and surfaced through ``ExecutionResult.vectorized`` and the obs
 layer.
 
-Movers (splitters/joiners) get batched fast paths too: one
-``peek_block`` + a few strided slice writes move ``n`` firings' worth of
-elements with a single batched counter charge, in the exact element order
-of the sequential path.  When the tapes are :class:`~repro.runtime.tape.
-NdTape` (the backend's ``tape_class``) the window is a zero-copy array
-view and the strided writes are slice assignments — no list round-trip.
-Multicore ``Channel`` tapes batch too: the window is a blocking bulk read
-(released before any blocking commit, so cores never wedge on each
-other), falling back per-firing only when a window exceeds the channel
-bound.
+Movers (splitters/joiners) batch too, through the ``n``-firing closures
+:mod:`repro.runtime.movers` derives from each mover's lane map.
 
 Every batch entry point re-validates at runtime and *returns control to
 the per-firing path* when a guard fails (unknown tape subclass,
@@ -35,32 +27,20 @@ whether the batched path actually ran; the executor aggregates that into
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from ...graph.actor import FilterSpec
-from ...graph.builtins import (
-    HJoinerSpec,
-    HSplitterSpec,
-    JoinerSpec,
-    SplitKind,
-    SplitterSpec,
-)
 from ...graph.stream_graph import TapeEdge
-from ...perf import events as ev
 from ..errors import StreamRuntimeError
 from ..compiled.backend import CompiledActor, CompiledBackend
 from ..compiled.cache import KernelCache
 from ..interpreter import ActorRuntime
-from ..tape import NdTape, Tape
-from .kernel import BatchKernel, Unvectorizable, build_batch_kernel, \
-    _tape_mode
+from ..movers import BatchFn, make_batch_mover
+from ..tape import NdTape
+from .kernel import BatchKernel, Unvectorizable, build_batch_kernel
 from .np_compat import HAVE_NUMPY
 
 __all__ = ["VectorActor", "VectorBackend"]
-
-#: A batch closure fires ``n`` times and reports whether the batched fast
-#: path actually ran (``False`` means it replayed per-firing fallback).
-BatchFn = Callable[[int], bool]
 
 
 class VectorActor(CompiledActor):
@@ -155,353 +135,8 @@ class VectorBackend(CompiledBackend):
         actor.configure_vector(spec, in_vector, self)
         return actor
 
-    # -- batched movers ---------------------------------------------------------
     def make_batch_mover(self, run: Any, actor: Any,
                          fire: Callable[[], None]) -> Optional[BatchFn]:
-        """Return an ``n``-firing batch closure for a native mover, or
-        ``None``.  ``fire`` is the per-firing closure used as fallback
-        when a runtime guard fails."""
-        spec = actor.spec
-        if isinstance(spec, SplitterSpec):
-            return _batch_splitter(run, actor.id, spec, fire)
-        if isinstance(spec, JoinerSpec):
-            return _batch_joiner(run, actor.id, spec, fire)
-        if isinstance(spec, HSplitterSpec):
-            return _batch_hsplitter(run, actor.id, spec, fire)
-        if isinstance(spec, HJoinerSpec):
-            return _batch_hjoiner(run, actor.id, spec, fire)
-        return None
-
-
-# ==============================================================================
-# Batched movers: peek_block + strided slice writes, sequential element order
-# ==============================================================================
-
-def _lane_event(run: Any) -> str:
-    return ev.SAGU if run.machine.has_sagu else ev.ADDR
-
-
-def _charger(run: Any, actor_id: int, static: Counter):
-    items = tuple((event, count) for event, count in static.items() if count)
-
-    def charge(n: int) -> None:
-        events = run.counters.for_actor(actor_id).events
-        for event, count in items:
-            events[event] += count * n
-    return charge
-
-
-def _refire(fire: Callable[[], None], n: int) -> bool:
-    for _ in range(n):
-        fire()
-    return False
-
-
-def _window(tape: Any, mode: str, count: int) -> Optional[List[Any]]:
-    """Fetch a ``count``-element list window for a batched mover, or
-    ``None`` to fall back per-firing.  Channel windows *block* until the
-    producing core has committed them (the batched analogue of ``count``
-    blocking pops) — unless the window can never fit the channel bound."""
-    if mode == "channel":
-        if count > tape.capacity:
-            return None
-        return tape.peek_block(count)
-    if len(tape) < count:
-        return None
-    return tape.peek_block(count)
-
-
-def _nd_view(tape: Any, count: int) -> Optional[Any]:
-    """Zero-copy read view over an ndarray tape's window, or ``None``
-    (degraded / mixed-dtype representation, or not enough data)."""
-    if type(tape) is NdTape and len(tape) >= count:
-        return tape.peek_block_array(count)
-    return None
-
-
-def _bulk_push(tape: Any, values: List[Any]) -> None:
-    tape.write_strided(0, 1, values)
-    tape.advance_writer(len(values))
-
-
-def _bulk_push_array(tape: Any, view: Any) -> None:
-    """Commit an ndarray window contiguously: array staging when the
-    destination holds machine layout, exact Python values otherwise
-    (np scalars must never leak onto a list tape — downstream type
-    checks distinguish ``float`` from ``np.float64``)."""
-    if type(tape) is NdTape and tape.degrade_reason is None:
-        tape.write_strided_array(0, 1, view)
-    else:
-        tape.write_strided(0, 1, view.tolist())
-    tape.advance_writer(len(view))
-
-
-def _strided_commit(tape: Any, offset: int, stride: int, col: Any) -> None:
-    """Stage one strided column from an ndarray slice (no advance)."""
-    if type(tape) is NdTape and tape.degrade_reason is None:
-        tape.write_strided_array(offset, stride, col)
-    else:
-        tape.write_strided(offset, stride, col.tolist())
-
-
-def _batch_splitter(run: Any, actor_id: int, spec: SplitterSpec,
-                    fire: Callable[[], None]) -> BatchFn:
-    graph = run.graph
-    lane = _lane_event(run)
-    in_edge = graph.in_tapes(actor_id)[0]
-    outs = graph.out_tapes(actor_id)
-    in_tape = run.tapes[in_edge.id]
-    out_tapes = [run.tapes[edge.id] for edge in outs]
-    static = Counter({ev.FIRE: 1})
-
-    if spec.kind is SplitKind.DUPLICATE:
-        static[ev.SCALAR_LOAD] += 1
-        if in_edge.lane_ordered:
-            static[lane] += 1
-        for edge in outs:
-            static[ev.SCALAR_STORE] += 1
-            if edge.lane_ordered:
-                static[lane] += 1
-        charge = _charger(run, actor_id, static)
-
-        def batch_dup(n: int) -> bool:
-            in_mode = _tape_mode(in_tape)
-            if in_mode is None \
-                    or any(_tape_mode(t) is None for t in out_tapes):
-                return _refire(fire, n)
-            view = _nd_view(in_tape, n) if in_mode == "nd" else None
-            if view is not None:
-                for tape in out_tapes:
-                    _bulk_push_array(tape, view)
-                in_tape.advance_reader(n)
-                charge(n)
-                return True
-            window = _window(in_tape, in_mode, n)
-            if window is None:
-                return _refire(fire, n)
-            if in_mode == "channel":
-                # A channel window is a copy: release the slots before any
-                # (possibly blocking) downstream commit.
-                in_tape.advance_reader(n)
-            for tape in out_tapes:
-                _bulk_push(tape, window)
-            if in_mode != "channel":
-                in_tape.advance_reader(n)
-            charge(n)
-            return True
-        return batch_dup
-
-    weights = [spec.weights[edge.src_port] for edge in outs]
-    total = sum(weights)
-    offsets = []
-    acc = 0
-    for w in weights:
-        offsets.append(acc)
-        acc += w
-    for edge, w in zip(outs, weights):
-        static[ev.SCALAR_LOAD] += w
-        static[ev.SCALAR_STORE] += w
-        if in_edge.lane_ordered:
-            static[lane] += w
-        if edge.lane_ordered:
-            static[lane] += w
-    charge = _charger(run, actor_id, static)
-
-    def batch_rr(n: int) -> bool:
-        in_mode = _tape_mode(in_tape)
-        if in_mode is None or any(_tape_mode(t) is None for t in out_tapes):
-            return _refire(fire, n)
-        view = _nd_view(in_tape, n * total) if in_mode == "nd" else None
-        if view is not None:
-            for tape, w, off in zip(out_tapes, weights, offsets):
-                for j in range(w):
-                    _strided_commit(tape, j, w, view[off + j::total])
-                tape.advance_writer(n * w)
-            in_tape.advance_reader(n * total)
-            charge(n)
-            return True
-        window = _window(in_tape, in_mode, n * total)
-        if window is None:
-            return _refire(fire, n)
-        if in_mode == "channel":
-            in_tape.advance_reader(n * total)
-        for tape, w, off in zip(out_tapes, weights, offsets):
-            for j in range(w):
-                tape.write_strided(j, w, window[off + j::total])
-            tape.advance_writer(n * w)
-        if in_mode != "channel":
-            in_tape.advance_reader(n * total)
-        charge(n)
-        return True
-    return batch_rr
-
-
-def _batch_joiner(run: Any, actor_id: int, spec: JoinerSpec,
-                  fire: Callable[[], None]) -> BatchFn:
-    graph = run.graph
-    lane = _lane_event(run)
-    ins = graph.in_tapes(actor_id)
-    outs = graph.out_tapes(actor_id)
-    out_tape = run.tapes[outs[0].id] if outs else None
-    in_tapes = [run.tapes[edge.id] for edge in ins]
-    weights = [spec.weights[edge.dst_port] for edge in ins]
-    total = sum(weights)
-    offsets = []
-    acc = 0
-    for w in weights:
-        offsets.append(acc)
-        acc += w
-    static = Counter({ev.FIRE: 1})
-    for edge, w in zip(ins, weights):
-        static[ev.SCALAR_LOAD] += w
-        if edge.lane_ordered:
-            static[lane] += w
-        if outs:
-            static[ev.SCALAR_STORE] += w
-            if outs[0].lane_ordered:
-                static[lane] += w
-    charge = _charger(run, actor_id, static)
-
-    def batch(n: int) -> bool:
-        in_modes = [_tape_mode(t) for t in in_tapes]
-        if any(m is None for m in in_modes) \
-                or (out_tape is not None
-                    and _tape_mode(out_tape) is None):
-            return _refire(fire, n)
-        windows: List[Any] = []
-        for t, w, m in zip(in_tapes, weights, in_modes):
-            win = _nd_view(t, n * w) if m == "nd" else None
-            if win is None:
-                win = _window(t, m, n * w)
-            if win is None:
-                # Nothing consumed yet (peeks only): per-firing is safe.
-                return _refire(fire, n)
-            windows.append(win)
-        for t, w, m in zip(in_tapes, weights, in_modes):
-            if m == "channel":
-                t.advance_reader(n * w)
-        if out_tape is not None:
-            for win, w, off in zip(windows, weights, offsets):
-                if isinstance(win, list):
-                    for j in range(w):
-                        out_tape.write_strided(off + j, total, win[j::w])
-                else:
-                    for j in range(w):
-                        _strided_commit(out_tape, off + j, total, win[j::w])
-            out_tape.advance_writer(n * total)
-        for t, w, m in zip(in_tapes, weights, in_modes):
-            if m != "channel":
-                t.advance_reader(n * w)
-        charge(n)
-        return True
-    return batch
-
-
-def _batch_hsplitter(run: Any, actor_id: int, spec: HSplitterSpec,
-                     fire: Callable[[], None]) -> BatchFn:
-    graph = run.graph
-    lane = _lane_event(run)
-    in_edge = graph.in_tapes(actor_id)[0]
-    out_edge = graph.out_tapes(actor_id)[0]
-    in_tape = run.tapes[in_edge.id]
-    out_tape = run.tapes[out_edge.id]
-    width = spec.width
-    weight = spec.weight
-    static = Counter({ev.FIRE: 1})
-
-    if spec.kind is SplitKind.DUPLICATE:
-        static[ev.SCALAR_LOAD] += weight
-        if in_edge.lane_ordered:
-            static[lane] += weight
-        static[ev.SPLAT] += weight
-        static[ev.VECTOR_STORE] += weight
-        charge = _charger(run, actor_id, static)
-
-        def batch_dup(n: int) -> bool:
-            in_mode = _tape_mode(in_tape)
-            if in_mode is None or _tape_mode(out_tape) is None:
-                return _refire(fire, n)
-            window = _window(in_tape, in_mode, n * weight)
-            if window is None:
-                return _refire(fire, n)
-            if in_mode == "channel":
-                in_tape.advance_reader(n * weight)
-            _bulk_push(out_tape, [[v] * width for v in window])
-            if in_mode != "channel":
-                in_tape.advance_reader(n * weight)
-            charge(n)
-            return True
-        return batch_dup
-
-    total = width * weight
-    static[ev.SCALAR_LOAD] += total
-    if in_edge.lane_ordered:
-        static[lane] += total
-    static[ev.PACK] += total
-    static[ev.VECTOR_STORE] += weight
-    charge = _charger(run, actor_id, static)
-
-    def batch_rr(n: int) -> bool:
-        in_mode = _tape_mode(in_tape)
-        if in_mode is None or _tape_mode(out_tape) is None:
-            return _refire(fire, n)
-        window = _window(in_tape, in_mode, n * total)
-        if window is None:
-            return _refire(fire, n)
-        if in_mode == "channel":
-            in_tape.advance_reader(n * total)
-        vectors = []
-        for f in range(n):
-            base = f * total
-            for j in range(weight):
-                vectors.append([window[base + k * weight + j]
-                                for k in range(width)])
-        _bulk_push(out_tape, vectors)
-        if in_mode != "channel":
-            in_tape.advance_reader(n * total)
-        charge(n)
-        return True
-    return batch_rr
-
-
-def _batch_hjoiner(run: Any, actor_id: int, spec: HJoinerSpec,
-                   fire: Callable[[], None]) -> BatchFn:
-    graph = run.graph
-    lane = _lane_event(run)
-    in_edge = graph.in_tapes(actor_id)[0]
-    outs = graph.out_tapes(actor_id)
-    in_tape = run.tapes[in_edge.id]
-    out_tape = run.tapes[outs[0].id] if outs else None
-    width = spec.width
-    weight = spec.weight
-    static = Counter({ev.FIRE: 1, ev.VECTOR_LOAD: weight,
-                      ev.UNPACK: width * weight})
-    if outs:
-        static[ev.SCALAR_STORE] += width * weight
-        if outs[0].lane_ordered:
-            static[lane] += width * weight
-    charge = _charger(run, actor_id, static)
-
-    def batch(n: int) -> bool:
-        in_mode = _tape_mode(in_tape)
-        if in_mode is None \
-                or (out_tape is not None and _tape_mode(out_tape) is None):
-            return _refire(fire, n)
-        window = _window(in_tape, in_mode, n * weight)
-        if window is None:
-            return _refire(fire, n)
-        if in_mode == "channel":
-            in_tape.advance_reader(n * weight)
-        if out_tape is not None:
-            values = []
-            for f in range(n):
-                base = f * weight
-                for k in range(width):
-                    for j in range(weight):
-                        values.append(window[base + j][k])
-            _bulk_push(out_tape, values)
-        if in_mode != "channel":
-            in_tape.advance_reader(n * weight)
-        charge(n)
-        return True
-    return batch
+        """``n``-firing batch closure for a native mover, or ``None``;
+        ``fire`` is its per-firing fallback."""
+        return make_batch_mover(run, actor, fire)

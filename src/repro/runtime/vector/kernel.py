@@ -59,7 +59,7 @@ from ...ir import stmt as S
 from ...ir.types import Vector
 from ...perf import events as ev
 from ..interpreter import ActorRuntime
-from ..tape import NdTape, Tape
+from ..tape import tape_mode
 from ..values import apply_binary, apply_math, apply_unary
 from .np_compat import EXACT_INTRINSICS, NP_MATH, np
 
@@ -102,29 +102,6 @@ class _Abort(Exception):
 
 
 _ARANGE_CACHE: Dict[int, Any] = {}
-
-
-def _tape_mode(tape: Any) -> Optional[str]:
-    """Classify a tape for the batch path: ``"plain"`` (list tape),
-    ``"nd"`` (ndarray tape), ``"channel"`` (multicore bounded channel —
-    bulk ops block/commit under its lock), or ``None`` (unknown subclass:
-    refuse the batch)."""
-    tt = type(tape)
-    if tt is Tape:
-        return "plain"
-    if tt is NdTape:
-        return "nd"
-    # Lazy import: repro.multicore imports the runtime package.
-    global _CHANNEL_CLS
-    if _CHANNEL_CLS is None:
-        from ...multicore.channels import Channel
-        _CHANNEL_CLS = Channel
-    if isinstance(tape, _CHANNEL_CLS):
-        return "channel"
-    return None
-
-
-_CHANNEL_CLS: Optional[type] = None
 
 
 def _arange(n: int) -> Any:
@@ -184,11 +161,11 @@ class BatchKernel:
         in_mode = "plain"
         out_mode = "plain"
         if self.a_in or self.need:
-            in_mode = _tape_mode(inp)
+            in_mode = tape_mode(inp)
             if in_mode is None:
                 return False
         if self.a_out or self.records:
-            out_mode = _tape_mode(out)
+            out_mode = tape_mode(out)
             if out_mode is None:
                 return False
         if inp is not None and inp is out:

@@ -10,8 +10,7 @@ The comparison builds both candidate forms *speculatively* (spec-level
 only, no graph surgery) and prices one steady state of the region with the
 static estimator; the estimators themselves live in
 :mod:`repro.plan.costs` so partition/buffer planning and SIMD technique
-choice read one price table per target (``horizontal_cost`` and
-``vertical_cost`` are re-exported here for the historical import path).
+choice read one price table per target.
 
 Horizontal is forced (no comparison) when any level is stateful or any
 branch cannot legally be fused — the cases §3.3 motivates it with.
@@ -29,7 +28,7 @@ from .machine import MachineDescription, UnsupportedOperation
 from .segments import HorizontalCandidate
 from .vertical import FusionError
 
-__all__ = ["horizontal_cost", "prefer_horizontal", "vertical_cost"]
+__all__ = ["prefer_horizontal"]
 
 
 def prefer_horizontal(graph: StreamGraph, candidate: HorizontalCandidate,

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.apps import get_benchmark
-from repro.codegen import emit_cpp
-from repro.graph import flatten
+from repro.cli import main
+from repro.codegen import UnsupportedCodegenTarget, emit_cpp
+from repro.graph import StreamGraph, flatten
+from repro.graph.builtins import HJoinerSpec, HSplitterSpec, SplitKind
 from repro.simd import compile_graph
-from repro.simd.machine import CORE_I7, CORE_I7_SAGU
+from repro.simd.machine import CORE_I7, CORE_I7_SAGU, GPU_LIKE
 
 from ..conftest import linear_program, make_pair_sum, make_ramp_source, make_scaler
 
@@ -53,6 +55,55 @@ class TestStructure:
     def test_vector_constants(self, running_example_cpp):
         """The {5,6,7,8} divisor vector of the horizontally merged B."""
         assert "_mm_set_ps(8.0f, 7.0f, 6.0f, 5.0f)" in running_example_cpp
+
+
+class TestHorizontalLaneOrder:
+    """The HSplitter/HJoiner lane order comes from the mover map, not
+    from constants that happen to be right for one weight."""
+
+    def _text(self):
+        g = StreamGraph("h")
+        src = g.add_actor(make_ramp_source(12, name="src"))
+        hsplit = g.add_actor(HSplitterSpec(SplitKind.ROUNDROBIN, 3, 4))
+        hjoin = g.add_actor(HJoinerSpec(3, 4))
+        tail = g.add_actor(make_scaler(name="tail"))
+        g.add_tape(src.id, hsplit.id)
+        g.add_tape(hsplit.id, hjoin.id, vector_width=4)
+        g.add_tape(hjoin.id, tail.id)
+        return emit_cpp(g, CORE_I7)
+
+    def test_hsplitter_gathers_lane_k_from_branch_k(self):
+        text = self._text()
+        # weight 3: branch k owns c[3k .. 3k+2]; vector j takes c[3k + j]
+        # into lane k (_mm_set_ps lists the high lane first).
+        for j in range(3):
+            assert (f"push(_mm_set_ps(c[{9 + j}], c[{6 + j}], c[{3 + j}], "
+                    f"c[{j}]));") in text
+
+    def test_hjoiner_scatters_branch_major(self):
+        text = self._text()
+        pushes = [line.strip() for line in text.splitlines()
+                  if ".push(_lane(v[" in line]
+        assert [p[p.index("_lane("):] for p in pushes] == [
+            f"_lane(v[{j}], {k}));" for k in range(4) for j in range(3)]
+
+
+class TestNonSseTargetRefused:
+    def test_emitter_raises_typed_error(self):
+        graph = flatten(get_benchmark("RunningExample"))
+        compiled = compile_graph(graph, GPU_LIKE)
+        with pytest.raises(UnsupportedCodegenTarget, match="gpu-like"):
+            emit_cpp(compiled.graph, GPU_LIKE)
+
+    def test_cli_exits_nonzero_with_one_line(self, capsys):
+        code = main(["compile", "RunningExample", "--cpp",
+                     "--machine", "gpu-like"])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert "__m128" not in captured.out
+        assert captured.err.strip().splitlines() == [
+            "error: C++ codegen emits 4-lane SSE only; target 'gpu-like' "
+            "has SIMD width 16"]
 
 
 class TestSaguEmission:

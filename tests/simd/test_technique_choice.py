@@ -18,11 +18,8 @@ from repro.schedule import repetition_vector
 from repro.simd import compile_graph
 from repro.simd.machine import CORE_I7
 from repro.simd.segments import find_horizontal_candidates
-from repro.simd.technique_choice import (
-    horizontal_cost,
-    prefer_horizontal,
-    vertical_cost,
-)
+from repro.plan.costs import horizontal_cost, vertical_cost
+from repro.simd.technique_choice import prefer_horizontal
 
 from ..conftest import make_ramp_source
 
