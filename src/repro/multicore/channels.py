@@ -3,11 +3,12 @@
 When a :class:`~repro.plan.partitioners.Partition` places the two
 endpoints of a tape on different cores, the tape becomes a
 :class:`Channel`: a thread-safe, *bounded* FIFO with blocking semantics on
-both sides.  A reader that needs data which has not been produced yet
-blocks until the producing core catches up, and a writer that would
-overflow the bound blocks until the consuming core drains — the paper's
-"the receiving core stalls on the transfer" (§5) made literal, plus real
-backpressure on the sending side.
+both sides, wrapped *around* a tape (storage and flow control are
+orthogonal: see :mod:`repro.runtime.tape`).  A reader that needs data
+which has not been produced yet blocks until the producing core catches
+up, and a writer that would overflow the bound blocks until the consuming
+core drains — the paper's "the receiving core stalls on the transfer"
+(§5) made literal, plus real backpressure on the sending side.
 
 Capacity planning
 -----------------
@@ -120,9 +121,11 @@ class ChannelStats:
 _WAIT_SLICE_S = 0.05
 
 
-class Channel(Tape):
-    """A :class:`~repro.runtime.tape.Tape` whose two ends live on
-    different threads.
+class Channel:
+    """Bounded-blocking flow control around any tape: the storage (a list
+    :class:`~repro.runtime.tape.Tape` by default, the vector backend's
+    ``NdTape`` on its cut edges) keeps the items and validates every
+    argument; the channel adds the lock, the waits and the stats.
 
     The full tape repertoire is supported — ``push``/``pop``/``peek``,
     the SIMDized ``rpush``/``advance_writer``/``advance_reader`` — with
@@ -137,7 +140,7 @@ class Channel(Tape):
       gated step.
 
     Bulk operations make the vector backend's batched path work across
-    cores: ``peek_block(count)`` is the batched analogue of ``count``
+    cores: ``window(count)`` is the batched analogue of ``count``
     blocking pops (it waits until the whole window is committed), and
     ``advance_writer(count)`` commits in capacity-bounded *chunks*, each
     released to the consuming core as soon as it lands — so a bulk
@@ -146,30 +149,55 @@ class Channel(Tape):
     the same capacity-planner argument).
     """
 
-    __slots__ = ("capacity", "stats", "_cond", "_abort", "_tracer",
-                 "stall_timeout")
+    __slots__ = ("name", "capacity", "stats", "stall_timeout", "_tape",
+                 "_cond", "_abort", "_tracer")
+
+    #: Batch protocol: a window is a copy taken under the lock (the
+    #: producer may grow, compact or reset the storage at any time), so
+    #: batch paths release the reader *before* a possibly blocking commit
+    #: and cores never wedge on each other.
+    window_is_copy = True
 
     def __init__(self, name: str, capacity: int, *,
+                 tape: Optional[Tape] = None,
                  abort: Optional[RunAbort] = None,
                  tracer: Optional[Tracer] = None,
                  stall_timeout: float = 30.0) -> None:
         if capacity < 1:
             raise ValueError(f"{name}: channel capacity must be >= 1")
-        super().__init__(name)
+        self.name = name
         self.capacity = capacity
         self.stats = ChannelStats(capacity=capacity)
+        self.stall_timeout = stall_timeout
+        self._tape = Tape(name) if tape is None else tape
         self._cond = threading.Condition()
         self._abort = abort
         self._tracer = tracer
-        self.stall_timeout = stall_timeout
+
+    # -- the wrapped storage ---------------------------------------------------
+    @property
+    def degrade_reason(self) -> Optional[str]:
+        return getattr(self._tape, "degrade_reason", None)
+
+    @property
+    def dtype_kind(self) -> Optional[str]:
+        return getattr(self._tape, "dtype_kind", None)
+
+    @property
+    def batchable(self) -> bool:
+        return self._tape.batchable
+
+    def __len__(self) -> int:
+        with self._cond:
+            return len(self._tape)
 
     # -- setup ----------------------------------------------------------------
     def preload(self, items: Iterable[Any]) -> None:
         """Load initial (feedback-delay) items without blocking or stats."""
         with self._cond:
             for item in items:
-                Tape.push(self, item)
-            occupancy = Tape.__len__(self)
+                self._tape.push(item)
+            occupancy = len(self._tape)
             if occupancy > self.capacity:
                 raise ChannelError(
                     f"{self.name}: {occupancy} initial items exceed "
@@ -190,7 +218,7 @@ class Channel(Tape):
         if self._tracer is not None and self._tracer.enabled:
             self._tracer.event("channel.stall", cat="channel",
                                channel=self.name, side=side,
-                               occupancy=Tape.__len__(self), needed=needed,
+                               occupancy=len(self._tape), needed=needed,
                                capacity=self.capacity)
         deadline = time.monotonic() + self.stall_timeout
         while not ready():
@@ -202,51 +230,52 @@ class Channel(Tape):
                 raise ChannelStallTimeout(
                     f"{self.name}: {side} side stalled for more than "
                     f"{self.stall_timeout:.1f}s (occupancy "
-                    f"{Tape.__len__(self)}/{self.capacity}, needed "
+                    f"{len(self._tape)}/{self.capacity}, needed "
                     f"{needed}) — cross-core deadlock",
                     channel=self.name, side=side,
-                    occupancy=Tape.__len__(self), needed=needed,
+                    occupancy=len(self._tape), needed=needed,
                     capacity=self.capacity,
                     timeout_s=self.stall_timeout)
             self._cond.wait(min(remaining, _WAIT_SLICE_S))
 
+    def _await_items(self, count: int) -> None:
+        tape = self._tape
+        self._await(lambda: len(tape) >= count, "pop", count)
+
     def _record_high_water(self) -> None:
-        occupancy = Tape.__len__(self)
+        occupancy = len(self._tape)
         if occupancy > self.stats.max_occupancy:
             self.stats.max_occupancy = occupancy
 
     # -- writing --------------------------------------------------------------
     def push(self, value: Any) -> None:
+        tape = self._tape
         with self._cond:
-            self._await(lambda: Tape.__len__(self) < self.capacity,
-                        "push", 1)
-            Tape.push(self, value)
+            self._await(lambda: len(tape) < self.capacity, "push", 1)
+            tape.push(value)
             self.stats.pushes += 1
             self._record_high_water()
             self._cond.notify_all()
 
     def rpush(self, value: Any, offset: int) -> None:
         with self._cond:
-            Tape.rpush(self, value, offset)
+            self._tape.rpush(value, offset)
 
     def write_strided(self, offset: int, stride: int, values: Any) -> None:
         # Staging only (never blocks): commit is the gated step.
         with self._cond:
-            Tape.write_strided(self, offset, stride, values)
+            self._tape.write_strided(offset, stride, values)
 
     def advance_writer(self, count: int) -> None:
-        if count < 0:
-            raise ValueError(f"{self.name}: negative writer advance")
+        tape = self._tape
         remaining = count
         while True:
             with self._cond:
                 self._await(
-                    lambda: Tape.__len__(self) + min(remaining, 1)
-                    <= self.capacity,
+                    lambda: len(tape) + min(remaining, 1) <= self.capacity,
                     "push", remaining)
-                chunk = min(remaining,
-                            self.capacity - Tape.__len__(self))
-                Tape.advance_writer(self, chunk)
+                chunk = min(remaining, self.capacity - len(tape))
+                tape.advance_writer(chunk)
                 self.stats.pushes += chunk
                 self._record_high_water()
                 self._cond.notify_all()
@@ -257,41 +286,46 @@ class Channel(Tape):
     # -- reading --------------------------------------------------------------
     def pop(self) -> Any:
         with self._cond:
-            self._await(lambda: Tape.__len__(self) >= 1, "pop", 1)
-            value = Tape.pop(self)
+            self._await_items(1)
+            value = self._tape.pop()
             self.stats.pops += 1
             self._cond.notify_all()
             return value
 
     def peek(self, offset: int) -> Any:
-        if offset < 0:
-            raise ValueError(f"{self.name}: negative peek offset {offset}")
         with self._cond:
-            self._await(lambda: Tape.__len__(self) >= offset + 1,
-                        "pop", offset + 1)
-            return Tape.peek(self, offset)
+            self._await_items(offset + 1)
+            return self._tape.peek(offset)
 
     def peek_block(self, count: int) -> Any:
-        if count < 0:
-            raise ValueError(f"{self.name}: negative block size {count}")
         with self._cond:
-            self._await(lambda: Tape.__len__(self) >= count, "pop", count)
-            return Tape.peek_block(self, count)
+            self._await_items(count)
+            return self._tape.peek_block(count)
+
+    def window(self, count: int, arrays: bool = True) -> Optional[Any]:
+        """The batch protocol's window fetch, blocking until the producing
+        core has committed all ``count`` items.  ``None`` (run the batch
+        per firing) when the window could never be resident at once
+        (``count > capacity``: waiting would only ever time out) or the
+        storage is not batchable."""
+        if count > self.capacity or not self._tape.batchable:
+            return None
+        with self._cond:
+            self._await_items(count)
+            window = self._tape.window(count, arrays)
+            # A list window is already a copy; an ndarray one is a live
+            # view of storage the producer is free to move.
+            return window if isinstance(window, list) else window.copy()
 
     def advance_reader(self, count: int) -> None:
         with self._cond:
-            self._await(lambda: Tape.__len__(self) >= count, "pop", count)
-            Tape.advance_reader(self, count)
+            self._await_items(count)
+            self._tape.advance_reader(count)
             self.stats.pops += count
             self._cond.notify_all()
 
-    def drain(self):  # pragma: no cover - collectors are never channels
+    def drain(self) -> Any:
         with self._cond:
-            items = Tape.drain(self)
+            items = self._tape.drain()
             self._cond.notify_all()
             return items
-
-    def __len__(self) -> int:
-        with self._cond:
-            return Tape.__len__(self)
-

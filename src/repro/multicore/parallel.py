@@ -246,21 +246,20 @@ def parallel_execute(graph: StreamGraph,
 
     abort = RunAbort()
     live_tracer = tracer if tracer.enabled else None
-    # Core-local tapes use the backend's preferred implementation (the
-    # vector backend's ndarray-native NdTape); cut tapes must be Channels.
+    # Every edge gets the backend's preferred storage (the vector backend's
+    # ndarray-native NdTape); a cut edge's is wrapped in a bounded Channel.
     tape_cls = getattr(be, "tape_class", Tape)
-    tapes: Dict[int, Tape] = {}
+    tapes: Dict[int, Any] = {}
     channels: Dict[int, Channel] = {}
     for tid, edge in graph.tapes.items():
+        tape = tape_cls(f"tape{tid}")
         if tid in capacities:
-            channel = Channel(f"tape{tid}", capacities[tid], abort=abort,
-                              tracer=live_tracer,
+            channel = Channel(tape.name, capacities[tid], tape=tape,
+                              abort=abort, tracer=live_tracer,
                               stall_timeout=stall_timeout)
             channel.preload(edge.initial)
-            tapes[tid] = channel
-            channels[tid] = channel
+            tapes[tid] = channels[tid] = channel
         else:
-            tape = tape_cls(f"tape{tid}")
             for item in edge.initial:
                 tape.push(item)
             tapes[tid] = tape

@@ -41,7 +41,6 @@ from ..graph.builtins import (
     SplitterSpec,
 )
 from ..perf import events as ev
-from .tape import NdTape, tape_mode
 
 FireFn = Callable[[], None]
 #: A batch closure fires ``n`` times and reports whether the batched fast
@@ -247,36 +246,6 @@ def make_mover(run: Any, actor: Any) -> Optional[FireFn]:
     return fire
 
 
-def _window(tape: Any, mode: str, count: int, zero_copy: bool) -> Any:
-    """``count``-item input window — a zero-copy ndarray view when allowed
-    and the tape holds pure machine layout, else a list — or ``None`` to
-    fall back per-firing.  Channel windows *block* until the producing
-    core has committed them (the batched analogue of ``count`` blocking
-    pops) — unless the window can never fit the channel bound."""
-    if mode == "channel":
-        return tape.peek_block(count) if count <= tape.capacity else None
-    if len(tape) < count:
-        return None
-    if zero_copy and mode == "nd":
-        view = tape.peek_block_array(count)
-        if view is not None:    # None: degraded / mixed-dtype representation
-            return view
-    return tape.peek_block(count)
-
-
-def _commit(tape: Any, offset: int, stride: int, column: Any) -> None:
-    """Stage one strided column (no advance): array staging when the
-    destination holds machine layout, exact Python values otherwise (np
-    scalars must never leak onto a list tape — downstream type checks
-    distinguish ``float`` from ``np.float64``)."""
-    if isinstance(column, list):
-        tape.write_strided(offset, stride, column)
-    elif type(tape) is NdTape and tape.degrade_reason is None:
-        tape.write_strided_array(offset, stride, column)
-    else:
-        tape.write_strided(offset, stride, column.tolist())
-
-
 def make_batch_mover(run: Any, actor: Any, fire: FireFn) -> Optional[BatchFn]:
     """``n``-firing closure: input windows → one strided commit per run →
     one ``charge(n)``, in the exact element order of ``n`` ``fire()``
@@ -287,8 +256,9 @@ def make_batch_mover(run: Any, actor: Any, fire: FireFn) -> Optional[BatchFn]:
         return None
     m, in_tapes, out_tapes, charge = bound
     unpack, pack = m.in_width > 1, m.out_width > 1
-    zero_copy = m.op == COPY    # vector items only exist as Python lists
+    arrays = m.op == COPY    # vector items only exist as Python lists
     runs = strided_runs(m)
+    inputs = list(zip(in_tapes, m.pops))
     out_plan = [(tape, rate, [r for r in runs if r.dst_port == port])
                 for port, (tape, rate) in enumerate(zip(out_tapes, m.pushes))]
 
@@ -298,22 +268,22 @@ def make_batch_mover(run: Any, actor: Any, fire: FireFn) -> Optional[BatchFn]:
         return False
 
     def batch(n: int) -> bool:
-        modes = [tape_mode(tape) for tape in in_tapes]
-        if None in modes or any(tape_mode(t) is None for t in out_tapes):
-            return refire(n)    # unknown tape subclass
-        inputs = list(zip(in_tapes, modes, m.pops))
+        if not all(tape.batchable for tape in out_tapes):
+            return refire(n)
         windows = []
-        for tape, mode, rate in inputs:
-            window = _window(tape, mode, n * rate, zero_copy)
+        for tape, rate in inputs:
+            # A channel window *blocks* until the producing core has
+            # committed it — the batched analogue of its blocking pops.
+            window = tape.window(n * rate, arrays)
             if window is None:
                 # Nothing consumed yet (peeks only): per-firing is safe.
                 return refire(n)
             windows.append(window)
-        # A channel window is a copy: release its slots before any
-        # (possibly blocking) downstream commit, so cores never wedge on
-        # each other.  Local windows may alias tape storage: release after.
-        for tape, mode, rate in inputs:
-            if mode == "channel":
+        # A copied window's slots are released before any (possibly
+        # blocking) downstream commit, so cores never wedge on each other;
+        # a window that may alias tape storage is released after.
+        for tape, rate in inputs:
+            if tape.window_is_copy:
                 tape.advance_reader(n * rate)
         for tape, rate, port_runs in out_plan:
             for r in port_runs:
@@ -322,12 +292,12 @@ def make_batch_mover(run: Any, actor: Any, fire: FireFn) -> Optional[BatchFn]:
                 if unpack:
                     columns = [[vector[src[3]] for vector in column]
                                for column, src in zip(columns, r.srcs)]
-                _commit(tape, r.dst_off, r.dst_period,
-                        [list(lanes) for lanes in zip(*columns)] if pack
-                        else columns[0])
+                tape.write_strided(r.dst_off, r.dst_period,
+                                   [list(lanes) for lanes in zip(*columns)]
+                                   if pack else columns[0])
             tape.advance_writer(n * rate)
-        for tape, mode, rate in inputs:
-            if mode != "channel":
+        for tape, rate in inputs:
+            if not tape.window_is_copy:
                 tape.advance_reader(n * rate)
         charge(n)
         return True

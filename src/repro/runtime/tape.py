@@ -21,6 +21,27 @@ views (``peek_block_array``) and array commits (``write_strided_array``),
 so batch kernels never round-trip Python lists.  Payloads the array cannot
 represent (vectors, bools, ints beyond the exact range) degrade the tape
 to the inherited list representation, permanently and safely.
+
+Storage is one of two orthogonal choices; the other, flow control, is
+:class:`~repro.multicore.channels.Channel` — a bounded-blocking wrapper
+around either storage.  All three speak the same **batch protocol**, which
+is everything the batch paths (:mod:`.movers`, the vector kernels) know
+about a tape's representation:
+
+* ``window(count, arrays)`` — the next ``count`` committed items as an
+  ndarray (pure int64/float64 content, when ``arrays``) or a list, or
+  ``None``: run this batch per firing;
+* ``write_strided(offset, stride, column)`` — stage a list *or* ndarray
+  column; an np scalar never reaches list storage;
+* ``window_is_copy`` — whether the reader is released before the batch
+  commits its outputs (a copy) or after (the window may alias storage);
+* ``batchable`` — whether the batch path may bypass the per-item methods.
+
+The per-batch methods validate in :class:`Tape`, once, and reach storage
+through four hooks (``_first_hole``, ``_stage_column``, ``_block``,
+``_consumed``) that :class:`NdTape` overrides; the per-item methods
+(``push``/``pop``/``peek``/``rpush``) stay whole in both classes — the
+per-firing paths bind them once and call them millions of times.
 """
 
 from __future__ import annotations
@@ -47,6 +68,10 @@ class Tape:
 
     __slots__ = ("name", "_buf", "_head", "_wp")
 
+    #: Batch protocol: a :meth:`window` may alias tape storage, so batch
+    #: paths release the reader only *after* committing their outputs.
+    window_is_copy = False
+
     def __init__(self, name: str = "tape") -> None:
         self.name = name
         self._buf: List[Any] = []
@@ -69,6 +94,9 @@ class Tape:
             self._wp -= self._head
             self._head = 0
 
+    #: Storage hook: items were consumed by a per-batch read.
+    _consumed = _compact
+
     # -- writing --------------------------------------------------------------
     def push(self, value: Any) -> None:
         self._ensure(self._wp)
@@ -87,28 +115,39 @@ class Tape:
             raise ValueError(f"{self.name}: negative writer advance")
         if not count:
             return  # must not grow the backing buffer (regression-pinned)
-        self._ensure(self._wp + count - 1)
-        segment = self._buf[self._wp:self._wp + count]
-        if _UNWRITTEN in segment:
+        hole = self._first_hole(count)
+        if hole is not None:
             raise UninitializedRead(
-                f"{self.name}: advancing writer over unwritten slot "
-                f"{segment.index(_UNWRITTEN)}")
+                f"{self.name}: advancing writer over unwritten slot {hole}")
         self._wp += count
 
-    def write_strided(self, offset: int, stride: int,
-                      values: List[Any]) -> None:
+    def _first_hole(self, count: int) -> Optional[int]:
+        """Storage hook: offset past the write pointer of the first of the
+        next ``count`` slots that was never staged, or ``None``."""
+        self._ensure(self._wp + count - 1)
+        segment = self._buf[self._wp:self._wp + count]
+        return segment.index(_UNWRITTEN) if _UNWRITTEN in segment else None
+
+    def write_strided(self, offset: int, stride: int, values: Any) -> None:
         """Write ``values[j]`` at ``offset + j * stride`` past the write
         pointer without advancing it — ``len(values)`` ``rpush`` calls in
-        one slice assignment (the vector backend's batched commit)."""
+        one slice assignment.  This is the batch protocol's column stage:
+        ``values`` is a list or a 1-d ndarray."""
         if offset < 0:
             raise ValueError(f"{self.name}: negative rpush offset {offset}")
         if stride < 1:
             raise ValueError(f"{self.name}: write stride must be >= 1")
-        count = len(values)
-        if not count:
-            return
+        if len(values):
+            self._stage_column(offset, stride, values)
+
+    def _stage_column(self, offset: int, stride: int, values: Any) -> None:
+        """Storage hook: stage a validated, non-empty column."""
+        if not isinstance(values, list):
+            # np scalars must never reach list storage: downstream type
+            # checks distinguish ``float`` from ``np.float64``.
+            values = values.tolist()
         base = self._wp + offset
-        last = base + (count - 1) * stride
+        last = base + (len(values) - 1) * stride
         self._ensure(last)
         self._buf[base:last + 1:stride] = values
 
@@ -135,17 +174,24 @@ class Tape:
             raise UninitializedRead(f"{self.name}: peek of unwritten slot")
         return value
 
-    def peek_block(self, count: int) -> List[Any]:
-        """Non-destructive read of the next ``count`` committed items as one
-        list (the vector backend's batched window fetch).  Slots below the
-        write pointer are committed by construction, so no per-slot
-        sentinel check is needed."""
+    def _check_block(self, count: int) -> None:
         if count < 0:
             raise ValueError(f"{self.name}: negative peek_block count")
         if self._head + count > self._wp:
             raise TapeUnderflow(
                 f"{self.name}: peek_block({count}) with only {len(self)} "
                 f"items")
+
+    def peek_block(self, count: int) -> List[Any]:
+        """Non-destructive read of the next ``count`` committed items as one
+        list of exact Python values."""
+        self._check_block(count)
+        return self._block(count)
+
+    def _block(self, count: int) -> List[Any]:
+        """Storage hook: the next ``count`` items (``count`` validated).
+        Slots below the write pointer are committed by construction, so no
+        per-slot sentinel check is needed."""
         return self._buf[self._head:self._head + count]
 
     def advance_reader(self, count: int) -> None:
@@ -156,7 +202,33 @@ class Tape:
                 f"{self.name}: advance_reader({count}) with only "
                 f"{len(self)} items")
         self._head += count
-        self._compact()
+        self._consumed()
+
+    # -- batch protocol -------------------------------------------------------
+    @property
+    def batchable(self) -> bool:
+        """Whether the batch paths may reach this tape's storage without
+        going through its per-item methods — only for the storages defined
+        here: a subclass nobody told the data plane about may override any
+        of them, so its batches are replayed per firing instead."""
+        return type(self) is Tape or type(self) is NdTape
+
+    def window(self, count: int, arrays: bool = True) -> Optional[Any]:
+        """The next ``count`` committed items for one batch: an ndarray
+        when ``arrays`` and the content is pure int64/float64 machine
+        layout, else a list — or ``None`` when the batch must run per
+        firing (fewer than ``count`` items committed, e.g. a short
+        feedback window, or a tape that is not :attr:`batchable`)."""
+        if not self.batchable or self._wp - self._head < count:
+            return None
+        view = self.peek_block_array(count) if arrays else None
+        return self.peek_block(count) if view is None else view
+
+    def peek_block_array(self, count: int) -> Optional[Any]:
+        """The next ``count`` committed items as an ndarray view of the
+        storage, or ``None`` when there is none — list storage never has."""
+        self._check_block(count)
+        return None
 
     # -- draining (output collection) ------------------------------------------
     def drain(self) -> List[Any]:
@@ -310,8 +382,6 @@ class NdTape(Tape):
 
     def _grow(self, index: int) -> None:
         arr = self._arr
-        if index < len(arr):
-            return
         cap = max(len(arr) * 2, index + 1)
         new = np.zeros(cap, dtype=arr.dtype)
         new[:len(arr)] = arr
@@ -359,6 +429,19 @@ class NdTape(Tape):
             return int(v)
         return float(v)
 
+    def _stage(self, where: Any, last: int, values: Any, ints: Any) -> None:
+        """The one staging tail: grow, assign, mark staged, record int-ness,
+        extend the staged tail.  ``where`` is one index or a strided slice
+        whose furthest slot is ``last``."""
+        if last >= len(self._arr):
+            self._grow(last)
+        self._arr[where] = values
+        self._written[where] = True
+        if self._int_mask is not None:
+            self._int_mask[where] = ints
+        if last >= self._tail:
+            self._tail = last + 1
+
     def _write_scalar(self, index: int, value: Any) -> bool:
         """Stage ``value`` at absolute ``index``.  Returns ``False`` after
         degrading (caller redoes the operation through the list path)."""
@@ -386,14 +469,48 @@ class NdTape(Tape):
             elif not -_ND_EXACT_INT <= value <= _ND_EXACT_INT:
                 self._degrade("int beyond float64-exact range")
                 return False
-        self._grow(index)
-        self._arr[index] = value
-        self._written[index] = True
-        if self._int_mask is not None:
-            self._int_mask[index] = vkind == "int"
-        if index + 1 > self._tail:
-            self._tail = index + 1
+        self._stage(index, index, value, vkind == "int")
         return True
+
+    def _admit_column(self, values: Any) -> Any:
+        """Adopt/promote storage for a list or ndarray column.  Returns the
+        column's int flags (one bool, or one per slot for a list mixing
+        ints and floats), or ``None`` after degrading."""
+        if isinstance(values, list):
+            kinds = set(map(type, values))
+            if not kinds <= {int, float}:
+                bad = next(v for v in values if type(v) not in (int, float))
+                self._degrade(self._reason_for(bad))
+                return None
+            vkind = "int" if kinds == {int} else \
+                "float" if kinds == {float} else "mixed"
+        else:
+            vkind = {"i": "int", "f": "float"}.get(values.dtype.kind)
+            if vkind is None:
+                self._degrade(f"non-numeric payload (dtype {values.dtype})")
+                return None
+        k = self._kind
+        if k is None:
+            self._adopt("int" if vkind == "int" else "float")
+            if vkind == "mixed":
+                self._to_mixed()
+        elif k == "int" and vkind != "int":
+            if not self._promote():
+                return None
+        elif k == "float" and vkind != "float":
+            self._to_mixed()
+        if vkind != "float" and self._kind != "int":
+            # Ints sharing float64 storage must be float64-exact.
+            if isinstance(values, list):
+                worst = max(abs(v) for v in values if type(v) is int)
+            else:
+                worst = float(np.abs(values.astype(np.float64)).max())
+            if worst > _ND_EXACT_INT:
+                self._degrade("int beyond float64-exact range")
+                return None
+        if vkind == "mixed":
+            return [type(v) is int for v in values]
+        return vkind == "int"
 
     # -- writing ---------------------------------------------------------------
     def push(self, value: Any) -> None:
@@ -411,122 +528,34 @@ class NdTape(Tape):
                 not self._write_scalar(self._wp + offset, value):
             Tape.rpush(self, value, offset)
 
-    def advance_writer(self, count: int) -> None:
-        if count < 0:
-            raise ValueError(f"{self.name}: negative writer advance")
+    def _first_hole(self, count: int) -> Optional[int]:
         if self.degrade_reason is not None:
-            Tape.advance_writer(self, count)
-            return
-        if not count:
-            return
-        written = self._written
-        if written is None:
-            raise UninitializedRead(
-                f"{self.name}: advancing writer over unwritten slot 0")
-        end = self._wp + count
-        seg = written[self._wp:min(end, len(written))]
-        if seg.size < count or not seg.all():
-            hole = int(np.argmin(seg)) if seg.size and not seg.all() \
-                else int(seg.size)
-            raise UninitializedRead(
-                f"{self.name}: advancing writer over unwritten slot {hole}")
-        self._wp = end  # every staged slot < _tail, so end <= _tail
+            return Tape._first_hole(self, count)
+        if self._written is None:
+            return 0
+        # Every staged slot lies below _tail <= len(_written), so a short
+        # or not-all-True segment has a hole.
+        seg = self._written[self._wp:self._wp + count]
+        if not seg.all():
+            return int(np.argmin(seg))
+        return None if seg.size == count else int(seg.size)
 
-    def write_strided(self, offset: int, stride: int,
-                      values: List[Any]) -> None:
-        if offset < 0:
-            raise ValueError(f"{self.name}: negative rpush offset {offset}")
-        if stride < 1:
-            raise ValueError(f"{self.name}: write stride must be >= 1")
-        if self.degrade_reason is not None:
-            Tape.write_strided(self, offset, stride, values)
-            return
-        count = len(values)
-        if not count:
-            return
-        kinds = set(map(type, values))
-        if not kinds <= {int, float}:
-            bad = next(v for v in values if type(v) not in (int, float))
-            self._degrade(self._reason_for(bad))
-            Tape.write_strided(self, offset, stride, values)
-            return
-        vkind = "int" if kinds == {int} else \
-            "float" if kinds == {float} else "mixed"
-        if not self._prepare_block(vkind):
-            Tape.write_strided(self, offset, stride, values)
-            return
-        if self._kind != "int" and int in kinds:
-            worst = max(abs(v) for v in values if type(v) is int)
-            if worst > _ND_EXACT_INT:
-                self._degrade("int beyond float64-exact range")
-                Tape.write_strided(self, offset, stride, values)
+    def _stage_column(self, offset: int, stride: int, values: Any) -> None:
+        ints = None if self.degrade_reason is not None \
+            else self._admit_column(values)
+        if ints is not None:
+            base = self._wp + offset
+            last = base + (len(values) - 1) * stride
+            try:
+                self._stage(slice(base, last + 1, stride), last, values, ints)
                 return
-        base = self._wp + offset
-        last = base + (count - 1) * stride
-        self._grow(last)
-        try:
-            self._arr[base:last + 1:stride] = values
-        except (OverflowError, ValueError):
-            self._degrade("int beyond int64 range")
-            Tape.write_strided(self, offset, stride, values)
-            return
-        self._written[base:last + 1:stride] = True
-        if self._int_mask is not None:
-            if vkind == "mixed":
-                self._int_mask[base:last + 1:stride] = \
-                    [type(v) is int for v in values]
-            else:
-                self._int_mask[base:last + 1:stride] = vkind == "int"
-        if last + 1 > self._tail:
-            self._tail = last + 1
+            except (OverflowError, ValueError):  # nothing was assigned yet
+                self._degrade("int beyond int64 range")
+        Tape._stage_column(self, offset, stride, values)
 
-    def _prepare_block(self, vkind: str) -> bool:
-        """Adopt/promote storage for a block of kind ``vkind``; ``False``
-        after degrading."""
-        k = self._kind
-        if k is None:
-            self._adopt("int" if vkind == "int" else "float")
-            if vkind == "mixed":
-                self._to_mixed()
-        elif k == "int" and vkind != "int":
-            return self._promote()
-        elif k == "float" and vkind != "float":
-            self._to_mixed()
-        return True
-
-    def write_strided_array(self, offset: int, stride: int,
-                            values: Any) -> None:
-        """:meth:`write_strided` from a 1-d int64/float64 ndarray — the
-        vector backend's zero-conversion batched commit."""
-        if offset < 0:
-            raise ValueError(f"{self.name}: negative rpush offset {offset}")
-        if stride < 1:
-            raise ValueError(f"{self.name}: write stride must be >= 1")
-        count = len(values)
-        if not count:
-            return
-        if self.degrade_reason is None:
-            dk = values.dtype.kind
-            vkind = "int" if dk == "i" else "float" if dk == "f" else None
-            if vkind is None:
-                self._degrade(f"non-numeric payload (dtype {values.dtype})")
-            elif self._prepare_block(vkind):
-                if vkind == "int" and self._kind != "int" and \
-                        float(np.abs(values.astype(np.float64)).max()) > \
-                        float(_ND_EXACT_INT):
-                    self._degrade("int beyond float64-exact range")
-                else:
-                    base = self._wp + offset
-                    last = base + (count - 1) * stride
-                    self._grow(last)
-                    self._arr[base:last + 1:stride] = values
-                    self._written[base:last + 1:stride] = True
-                    if self._int_mask is not None:
-                        self._int_mask[base:last + 1:stride] = vkind == "int"
-                    if last + 1 > self._tail:
-                        self._tail = last + 1
-                    return
-        Tape.write_strided(self, offset, stride, values.tolist())
+    #: :meth:`write_strided` from a 1-d int64/float64 ndarray — the vector
+    #: backend's zero-conversion batched commit.
+    write_strided_array = Tape.write_strided
 
     # -- reading ---------------------------------------------------------------
     def pop(self) -> Any:
@@ -550,86 +579,47 @@ class NdTape(Tape):
                 f"{self.name}: peek({offset}) with only {len(self)} items")
         return self._value_at(index)
 
-    def peek_block(self, count: int) -> List[Any]:
-        if self.degrade_reason is not None:
-            return Tape.peek_block(self, count)
-        if count < 0:
-            raise ValueError(f"{self.name}: negative peek_block count")
-        if self._head + count > self._wp:
-            raise TapeUnderflow(
-                f"{self.name}: peek_block({count}) with only {len(self)} "
-                f"items")
-        if not count:
-            return []
+    def _view(self, count: int) -> Any:
         view = self._arr[self._head:self._head + count]
         if _MUT_ND_WINDOW_SHIFT:
             view = np.roll(view, -_MUT_ND_WINDOW_SHIFT)
+        return view
+
+    def _block(self, count: int) -> List[Any]:
+        if self.degrade_reason is not None:
+            return Tape._block(self, count)
+        if not count:
+            return []
+        items = self._view(count).tolist()
         if self._int_mask is None:
-            return view.tolist()
+            return items
         mask = self._int_mask[self._head:self._head + count]
-        return [int(v) if m else v
-                for v, m in zip(view.tolist(), mask.tolist())]
+        return [int(v) if m else v for v, m in zip(items, mask.tolist())]
 
     def peek_block_array(self, count: int) -> Optional[Any]:
         """Zero-copy read-only view of the next ``count`` committed items,
         or ``None`` when no pure int64/float64 view exists (degraded,
         mixed int/float content, or no dtype adopted yet)."""
-        if count < 0:
-            raise ValueError(f"{self.name}: negative peek_block count")
-        if self._head + count > self._wp:
-            raise TapeUnderflow(
-                f"{self.name}: peek_block({count}) with only {len(self)} "
-                f"items")
+        self._check_block(count)
         if self.degrade_reason is not None or \
                 self._kind not in ("int", "float"):
             return None
-        view = self._arr[self._head:self._head + count]
-        if _MUT_ND_WINDOW_SHIFT:
-            view = np.roll(view, -_MUT_ND_WINDOW_SHIFT)
+        view = self._view(count)
         view.flags.writeable = False
         return view
 
-    def advance_reader(self, count: int) -> None:
+    def _consumed(self) -> None:
         if self.degrade_reason is not None:
-            Tape.advance_reader(self, count)
-            return
-        if count < 0:
-            raise ValueError(f"{self.name}: negative reader advance")
-        if self._head + count > self._wp:
-            raise TapeUnderflow(
-                f"{self.name}: advance_reader({count}) with only "
-                f"{len(self)} items")
-        self._head += count
-        self._after_read()
+            Tape._compact(self)
+        else:
+            self._after_read()
 
     # -- draining (output collection) ------------------------------------------
     def drain(self) -> List[Any]:
         if self.degrade_reason is not None:
             return Tape.drain(self)
-        items = self.peek_block(self._wp - self._head)
+        # No sentinel scan: the staged-write mask was checked at commit.
+        items = self._block(self._wp - self._head)
         self._head = self._wp
         self._after_read()
         return items
-
-
-_CHANNEL_CLS: Optional[type] = None
-
-
-def tape_mode(tape: Any) -> Optional[str]:
-    """Classify a tape for the batch paths: ``"plain"`` (list tape),
-    ``"nd"`` (ndarray tape), ``"channel"`` (multicore bounded channel —
-    bulk ops block/commit under its lock), or ``None`` (unknown subclass:
-    refuse the batch)."""
-    tt = type(tape)
-    if tt is Tape:
-        return "plain"
-    if tt is NdTape:
-        return "nd"
-    # Lazy import: repro.multicore imports the runtime package.
-    global _CHANNEL_CLS
-    if _CHANNEL_CLS is None:
-        from ..multicore.channels import Channel
-        _CHANNEL_CLS = Channel
-    if isinstance(tape, _CHANNEL_CLS):
-        return "channel"
-    return None

@@ -59,7 +59,6 @@ from ...ir import stmt as S
 from ...ir.types import Vector
 from ...perf import events as ev
 from ..interpreter import ActorRuntime
-from ..tape import tape_mode
 from ..values import apply_binary, apply_math, apply_unary
 from .np_compat import EXACT_INTRINSICS, NP_MATH, np
 
@@ -158,16 +157,8 @@ class BatchKernel:
             return True
         inp = rt.input
         out = rt.output
-        in_mode = "plain"
-        out_mode = "plain"
-        if self.a_in or self.need:
-            in_mode = tape_mode(inp)
-            if in_mode is None:
-                return False
-        if self.a_out or self.records:
-            out_mode = tape_mode(out)
-            if out_mode is None:
-                return False
+        if (self.a_out or self.records) and not out.batchable:
+            return False
         if inp is not None and inp is out:
             return False
         if self.internal_used or rt.internal:
@@ -185,24 +176,16 @@ class BatchKernel:
         nd_view = None
         window = None
         if need:
-            if in_mode == "channel":
-                # Blocking bulk read: the producing core commits the full
-                # window within this steady iteration (schedule order), so
-                # waiting is the batched analogue of n blocking pops.  A
-                # window larger than the channel bound can never be fully
-                # resident — pace that actor per firing instead.
-                if need > inp.capacity:
-                    return False
-                window = inp.peek_block(need)
-            elif len(inp) < need:
+            # None: short window, window larger than a channel's bound, or
+            # an unknown tape subclass.  A channel window blocks instead
+            # until the producing core has committed it (it does so within
+            # this steady iteration) — the analogue of n blocking pops.
+            window = inp.window(need, not self.in_vector)
+            if window is None:
                 return False
-            elif in_mode == "nd" and not self.in_vector:
-                # Zero-copy fast path: the window IS the tape storage.
-                nd_view = inp.peek_block_array(need)
-                if nd_view is None:     # degraded / mixed representation
-                    window = inp.peek_block(need)
-            else:
-                window = inp.peek_block(need)
+            if not isinstance(window, list):
+                # The window already lives in machine layout.
+                nd_view = window
         if nd_view is not None:
             int_mode = nd_view.dtype.kind == "i"
             absd = np.abs(nd_view.astype(np.float64)) if int_mode \
@@ -370,40 +353,41 @@ class BatchKernel:
             return False
 
         # -- commit ------------------------------------------------------------
-        if in_mode == "channel" and n * a_in:
-            # The channel window is a copied list: release the input slots
-            # before the (possibly blocking) output commit so downstream
-            # cores can drain while we wait for space — no transitive wedge.
-            inp.advance_reader(n * a_in)
+        release = n * a_in
+        if release and inp.window_is_copy:
+            # Release the input slots before the (possibly blocking) output
+            # commit so downstream cores can drain while we wait for space
+            # — no transitive wedge.
+            inp.advance_reader(release)
         if self.records:
-            nd_cols: Optional[List[Any]] = None
-            if self.a_out and out_mode == "nd" and out.degrade_reason is None:
-                nd_cols = [self._materialize_array(src, regs, svals, bvals,
-                                                   int_mode, n)
-                           for _, src in self.records]
-                if any(c is None for c in nd_cols):
-                    nd_cols = None
-            if nd_cols is not None:
-                for (offset, _), col in zip(self.records, nd_cols):
-                    out.write_strided_array(offset, self.a_out, col)
-                out.advance_writer(n * self.a_out)
-            else:
+            # Array columns when every record has a lossless one (the tape
+            # stages them without conversion if it holds machine layout),
+            # else exact Python values for the whole record set so
+            # per-record ordering on the tape stays uniform.
+            cols: Optional[List[Any]] = None
+            if self.a_out:
+                cols = [self._materialize_array(src, regs, svals, bvals,
+                                                int_mode, n)
+                        for _, src in self.records]
+                if any(c is None for c in cols):
+                    cols = None
+            if cols is None:
                 cols = [self._materialize(src, regs, svals, bvals,
                                           int_mode, n)
                         for _, src in self.records]
-                if self.a_out:
-                    for (offset, _), col in zip(self.records, cols):
-                        out.write_strided(offset, self.a_out, col)
-                    out.advance_writer(n * self.a_out)
-                else:
-                    for (offset, _), col in zip(self.records, cols):
-                        out.rpush(col[-1], offset)
+            if self.a_out:
+                for (offset, _), col in zip(self.records, cols):
+                    out.write_strided(offset, self.a_out, col)
+                out.advance_writer(n * self.a_out)
+            else:
+                for (offset, _), col in zip(self.records, cols):
+                    out.rpush(col[-1], offset)
         elif self.a_out:
             out.advance_writer(n * self.a_out)
-        if in_mode != "channel" and n * a_in:
-            # nd inputs advance last: in-place compaction may move storage,
-            # which must not happen while `arr` views are still live.
-            inp.advance_reader(n * a_in)
+        if release and not inp.window_is_copy:
+            # A window that may alias storage is released last: in-place
+            # compaction must not move it while `arr` views are still live.
+            inp.advance_reader(release)
         for av in self.aff_vars:
             if av.delta != 0:
                 rt.state[av.name] = aff_base[av.name] + n * av.delta

@@ -36,12 +36,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..graph.stream_graph import StreamGraph
 from ..obs.tracer import Tracer, ensure_tracer
+from ..passes.base import PassHook
 from .analysis import Verdict
 from .machine import CORE_I7, MachineDescription
-
-# Re-exported for API compatibility: the hook type predates the passes
-# package and is part of the public driver surface.
-from ..passes.base import PassHook  # noqa: F401  (re-export)
 
 
 @dataclass(frozen=True)

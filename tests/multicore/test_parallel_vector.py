@@ -82,3 +82,54 @@ def test_outputs_are_plain_python_floats():
     flat = [v for v in par.outputs if not isinstance(v, list)]
     assert flat and all(type(v) in (int, float) for v in flat)
     assert all(math.isfinite(v) for v in flat if type(v) is float)
+
+
+def test_cut_edges_keep_machine_layout(monkeypatch):
+    """Cut-edge channels wrap the backend's own storage, so the kernel on
+    the consuming core of a numeric cut edge is handed an ndarray window
+    (a copy), not a list."""
+    import numpy as np
+
+    from repro.multicore.channels import Channel
+    from repro.runtime.tape import NdTape
+
+    seen = []
+    real_window = Channel.window
+
+    def spying_window(self, count, arrays=True):
+        window = real_window(self, count, arrays)
+        seen.append((type(self._tape), type(window)))
+        return window
+
+    monkeypatch.setattr(Channel, "window", spying_window)
+    par = parallel_execute(scalar_graph("FMRadio"), machine=CORE_I7,
+                           iterations=4, cores=2, backend="vector")
+    assert par.channel_stats and seen
+    assert {storage for storage, _ in seen} == {NdTape}
+    assert np.ndarray in {window for _, window in seen}
+
+
+def test_cut_edge_degrade_is_reported():
+    """An actor next to a cut edge whose storage degraded says so, exactly
+    like one next to a core-local tape — and the run still matches the
+    interpreter."""
+    from repro.fuzz.harness import OPTION_SETS
+    from repro.simd.pipeline import compile_graph
+
+    graph = compile_graph(scalar_graph("FMRadio"), CORE_I7,
+                          OPTION_SETS["horizontal"]).graph
+    par = execute(graph, machine=CORE_I7, iterations=2, backend="vector",
+                  cores=2)
+    core_of = par.partition.assignment
+    beside_cut_vector_edge = {
+        actor for edge in graph.tapes.values()
+        if edge.is_vector and core_of[edge.src] != core_of[edge.dst]
+        for actor in (edge.src, edge.dst)
+        if par.vectorized[actor].startswith("vector")}
+    assert beside_cut_vector_edge
+    for actor in beside_cut_vector_edge:
+        assert par.vectorized[actor].endswith(
+            " (tape fallback: vector payload)"), par.vectorized[actor]
+    seq = execute(graph, machine=CORE_I7, iterations=2, backend="interp")
+    assert canon(par.outputs) == canon(seq.outputs)
+    assert canon(par.init_outputs) == canon(seq.init_outputs)

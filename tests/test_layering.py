@@ -1,0 +1,48 @@
+"""Static layering check: ``repro.runtime`` sits below the multicore,
+serving and planning layers and must not import them.
+
+``import repro`` pulls every subpackage in, so ``sys.modules`` cannot show
+a layering leak — the imports are read off the AST instead, function-level
+(lazy) imports included.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent
+UPPER_LAYERS = ("repro.multicore", "repro.serve", "repro.plan")
+
+#: The one sanctioned upward edge: ``execute(..., cores=N)`` is the front
+#: door that hands a run to the parallel runtime (lazily, at call time).
+ALLOWED = {("repro.runtime.executor", "repro.multicore")}
+
+
+def _imported_names(path: Path):
+    """Absolute dotted name of everything ``path`` imports (modules, and
+    for ``from m import n`` also ``m.n`` — ``n`` may be a submodule)."""
+    parts = list(path.relative_to(SRC.parent).with_suffix("").parts)
+    package = parts[:-1]    # a module's, or an ``__init__``'s own, package
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level \
+                else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_runtime_does_not_import_upper_layers():
+    upward = set()
+    for path in sorted((SRC / "runtime").rglob("*.py")):
+        importer = ".".join(
+            path.relative_to(SRC.parent).with_suffix("").parts)
+        for name in _imported_names(path):
+            upward.update((importer, layer) for layer in UPPER_LAYERS
+                          if (name + ".").startswith(layer + "."))
+    assert upward == ALLOWED, sorted(upward ^ ALLOWED)
