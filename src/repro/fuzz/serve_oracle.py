@@ -71,7 +71,7 @@ def _serve_one_inline(env, spec, wire_filter: Optional[WireFilter],
                                 worker=0, seq=_INLINE_SEQ[0], threshold=0)
     if wire_filter is not None:
         wire = wire_filter(wire)
-    # Force the same byte-level round trip the process queue performs.
+    # Force the same byte-level round trip the process pipe performs.
     wire = pickle.loads(pickle.dumps(wire))
     wire = load_result_shm(wire)
     return decode_result(wire)

@@ -13,16 +13,18 @@ processes (escaping the GIL), with:
 * a **shared-memory transport** (:mod:`.transport`) — large result
   arrays travel as named shm segments (threshold-gated, refcounted by a
   parent-side registry, unlinked on drain/crash/shutdown) instead of
-  pickling through the result queue;
+  pickling through the lane's result pipe;
 * an **on-disk kernel store** (:mod:`.store`) — structhash-keyed
   per-machine artifact cache (atomic writes, version stamps, corrupt
   entries quarantined) that warms new or restarted workers instantly;
 * a **pool** (:mod:`.pool`) — placement policies, admission control
   (queue-depth high-water → typed :class:`ServeOverload`), per-lane
-  blame statistics, graceful drain/shutdown, and **supervision**: a
-  sentinel watcher that requeues a dead lane's sessions (at-most-once,
-  ``retried`` flag; typed :class:`WorkerDied` when the retry is spent)
-  and restarts the lane with bounded exponential backoff;
+  blame statistics, graceful drain/shutdown, and **supervision**, all
+  served by one parent-side thread blocked in a single wait over one
+  result pipe per lane and every worker's sentinel: a dead lane's
+  sessions are requeued (at-most-once, ``retried`` flag; typed
+  :class:`WorkerDied` when the retry is spent) and the lane restarts
+  with bounded exponential backoff;
 * a **scheduler registry** (:mod:`.scheduler`) — ``round-robin`` and
   ``least-loaded`` placement, extensible;
 * a **load generator** (:mod:`.loadgen`) — open-loop (fixed arrival

@@ -17,7 +17,7 @@ over a mix of session specs:
 
 Both return a :class:`LoadReport` with per-request records, p50/p99
 latency, throughput, and the overload/error tallies — the numbers
-``BENCH_serve.json`` and ``macross loadgen`` publish.
+``macross loadgen`` publishes.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ def kill_worker_after(pool: ServePool, completed: int, *,
     """Arm fault injection: SIGKILL one live worker once the pool has
     completed ``completed`` sessions (``macross loadgen
     --kill-worker-after N``).  Returns the (daemon) trigger thread; join
-    it after the run to learn that the kill actually fired.  With
-    supervision on, throughput degrades gracefully — the lane restarts,
-    stranded sessions re-dispatch once — instead of hanging clients."""
+    it after the run to learn that the kill actually fired.  Throughput
+    degrades gracefully — the lane restarts, stranded sessions
+    re-dispatch once — instead of hanging clients."""
     if completed < 0:
         raise ServeError(
             f"kill_worker_after needs a count >= 0, got {completed}")
@@ -126,7 +126,7 @@ class LoadReport:
         return percentile(self.latencies_s(), q) * 1e3
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary (schema of ``BENCH_serve.json`` runs)."""
+        """JSON-ready summary (what ``macross loadgen --json`` writes)."""
         lat = self.latencies_s()
         return {
             "mode": self.mode, "workers": self.workers,

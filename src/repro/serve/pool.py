@@ -1,10 +1,10 @@
-"""Process-sharded worker pool with admission control, supervision, and
-zero-copy result transport.
+"""Process-sharded worker pool: admission control, supervision, and one
+parent-side event loop over one result pipe per lane.
 
-:class:`ServePool` owns ``workers`` long-lived processes (default start
-method ``spawn`` — the strictest, therefore portable one), one bounded
-request lane per worker, and a shared result queue drained by a
-collector thread in the parent.  The flow of one session:
+:class:`ServePool` owns ``workers`` long-lived ``spawn`` processes.  Each
+lane has a request ``mp.Queue`` going in and a one-way result *pipe*
+coming out, and the parent runs exactly one service thread
+(``macross-serve-loop``) for any worker count.  The flow of one session:
 
 1. :meth:`submit` asks the placement policy for a worker.  Admission
    control: a worker whose in-flight depth (queued + running) is at
@@ -14,29 +14,47 @@ collector thread in the parent.  The flow of one session:
    unboundedly — load-shedding at the front door is the serving
    analogue of the multicore runtime's bounded channels.
 2. The spec crosses to the worker as plain builtins; the worker runs it
-   against its persistent caches and answers on the result queue —
-   large output arrays via a named shared-memory segment when
+   against its persistent caches and sends the answer down its lane's
+   pipe — large output arrays via a named shared-memory segment when
    ``wire_transport="shm"`` (see :mod:`.transport`), everything else
    inline.
-3. The collector resolves the :class:`SessionTicket`, stamps the
-   completion time, and charges the worker's
-   :class:`WorkerStats` blame bag (requests, busy time, cache hits,
-   queue-depth high-water — the gem5 stream-engine per-lane statistics
-   idiom).
+3. The loop decodes the result where it reads it, resolves the
+   :class:`SessionTicket`, stamps the completion time, and charges the
+   worker's :class:`WorkerStats` blame bag (requests, busy time, cache
+   hits, queue-depth high-water — the gem5 stream-engine per-lane
+   statistics idiom).
 
-A **supervisor thread** watches every worker's process *sentinel*: when
-a lane dies it scavenges the lane's shared-memory segments, re-dispatches
-the lane's in-flight sessions **at most once** (results carry a
-``retried`` flag; a twice-stranded session resolves to a typed
-:class:`~repro.serve.session.WorkerDied` result instead), and restarts
-the lane with bounded exponential backoff.  Restart/requeue counts land
-in the per-lane blame table, so churn is observable, not silent.
+**One loop.**  The service thread blocks in a single
+``multiprocessing.connection.wait`` over every lane's result pipe, every
+live worker's process *sentinel* and a wake pipe, with the nearest
+restart deadline as its timeout — nothing in this module polls or
+sleeps.  When a sentinel fires it first reads that lane's pipe to EOF
+(a result the worker finished sending is honoured), then scavenges the
+lane's shared-memory segments and schedules a restart with bounded
+exponential back-off as a *deadline* the same wait honours, so two
+lanes dying together restart together.  Once the lane is back its
+in-flight sessions are re-dispatched **at most once** (results carry a
+``retried`` flag; a twice-stranded session, or one with no lane left
+because ``max_restarts`` is spent, resolves to a typed
+:class:`~repro.serve.session.WorkerDied` result instead).
+Restart/requeue counts land in the per-lane blame table, so churn is
+observable, not silent.
 
-``drain()`` waits for in-flight work without accepting more;
-``shutdown()`` drains (optionally), sends each worker its shutdown
-sentinel, merges the workers' lifetime stats, joins the processes, and
-destroys any shared-memory segment still registered.  The pool is a
-context manager; exiting shuts down gracefully.
+**Kill-safety is structural.**  A worker may be SIGKILLed at any
+instruction, including half-way through writing a result.  Each lane's
+pipe has exactly one writer — the worker's main thread; there is no
+feeder thread and no cross-process write lock to die holding — and the
+parent closes its own copy of the write end right after
+``Process.start()``.  A dead worker is therefore an immediate
+``EOFError`` on its lane and a torn frame an ``OSError``: on that lane
+alone, and never a read that outlives the writer.
+
+``drain()`` waits (on a condition, not a poll) for in-flight work
+without accepting more; ``shutdown()`` drains (optionally), sends each
+worker its shutdown sentinel, merges the workers' lifetime stats, ends
+once every lane has hung up, joins the processes, and destroys any
+shared-memory segment still registered.  The pool is a context manager;
+exiting shuts down gracefully.
 """
 
 from __future__ import annotations
@@ -44,7 +62,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import multiprocessing.connection
 import os
-import queue as thread_queue
 import signal
 import threading
 import time
@@ -63,14 +80,23 @@ from .worker import MSG_BYE, MSG_READY, MSG_RESULT, worker_main
 
 __all__ = ["ServePool", "ServeTimeout", "SessionTicket", "WorkerStats"]
 
-#: Collector poll interval; bounds shutdown latency, not throughput.
-_POLL_S = 0.05
+#: Workers are spawned, never forked: the strictest start method, and the
+#: one that hands a child only the descriptors it is passed — a forked
+#: sibling would inherit every lane's write end and no pipe would ever
+#: reach EOF.
+_START_METHOD = "spawn"
 
-#: Supervisor sentinel-wait slice; bounds death-detection latency.
-_SENTINEL_WAIT_S = 0.1
+#: Every worker must announce ``MSG_READY`` within this long.
+_START_TIMEOUT_S = 120.0
 
-#: Restart backoff is capped here regardless of the attempt count.
+#: Back-off before a lane's first restart; doubles with every restart the
+#: lane has already had, capped at ``_BACKOFF_CAP_S``.
+_RESTART_BACKOFF_S = 0.05
 _BACKOFF_CAP_S = 2.0
+
+
+def _backoff_s(restarts: int) -> float:
+    return min(_RESTART_BACKOFF_S * 2 ** restarts, _BACKOFF_CAP_S)
 
 
 class ServeTimeout(ServeError):
@@ -133,7 +159,7 @@ class WorkerStats:
 
 
 class SessionTicket:
-    """Handle for one admitted session; resolved by the collector."""
+    """Handle for one admitted session; resolved by the pool's loop."""
 
     __slots__ = ("seq", "worker", "spec", "submitted_at", "done_at",
                  "retried", "_event", "_result")
@@ -144,8 +170,8 @@ class SessionTicket:
         self.spec = spec
         self.submitted_at = time.perf_counter()
         self.done_at: Optional[float] = None
-        #: set by the supervisor when the session is re-dispatched after
-        #: its original lane died (at most once).
+        #: set when the session is re-dispatched after its original lane
+        #: died (at most once).
         self.retried = False
         self._event = threading.Event()
         self._result: Optional[SessionResult] = None
@@ -184,14 +210,10 @@ class ServePool:
                  max_queue_depth: int = 8,
                  max_kernels: Optional[int] = None,
                  max_graphs: Optional[int] = None,
-                 start_method: str = "spawn",
-                 start_timeout: float = 120.0,
                  wire_transport: str = "shm",
                  shm_threshold: Optional[int] = None,
                  store_dir: Optional[str] = None,
-                 supervise: bool = True,
                  max_restarts: int = 3,
-                 restart_backoff_s: float = 0.05,
                  tracer: Optional[Tracer] = None) -> None:
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
@@ -218,14 +240,15 @@ class ServePool:
             env_dir = default_store_dir()
             store_dir = str(env_dir) if env_dir is not None else None
         self.store_dir = store_dir
-        self.supervise = supervise
         self.max_restarts = max_restarts
-        self.restart_backoff_s = restart_backoff_s
         self.uid = uuid.uuid4().hex[:8]
         self.registry = SegmentRegistry()
         self._max_kernels = max_kernels
         self._max_graphs = max_graphs
         self._lock = threading.Lock()
+        #: notified whenever ``_pending`` shrinks; ``drain`` waits on it.
+        self._settled = threading.Condition(self._lock)
+        self._shutdown_lock = threading.Lock()
         self._seq = 0
         self._closed = False
         self._stopping = False   # teardown started: no more restarts
@@ -233,128 +256,83 @@ class ServePool:
         self._pending: Dict[int, SessionTicket] = {}
         self.stats: List[WorkerStats] = [WorkerStats(w)
                                          for w in range(workers)]
-        self._ctx = mp.get_context(start_method)
-        # One result queue per lane, pumped into an in-process inbox: a
-        # SIGKILLed worker can die holding its queue's shared write lock
-        # (or mid-write, tearing a frame), and a private channel confines
-        # that damage to a queue nobody will ever write to again.  A
-        # single shared result queue would be poisoned for every lane.
-        self._inbox: "thread_queue.Queue[Any]" = thread_queue.Queue()
-        self._result_queues: List[Any] = [None] * workers
-        self._pumps: List[Any] = [None] * workers
+        self._ctx = mp.get_context(_START_METHOD)
         self._requests: List[Any] = [None] * workers
+        #: the parent's (read) end of each lane's result pipe; ``None``
+        #: once the lane has hung up.
+        self._readers: List[Any] = [None] * workers
         self._procs: List[Any] = [None] * workers
         self._alive: List[bool] = [False] * workers
+        #: lane -> monotonic time its restart back-off ends.
+        self._restart_at: Dict[int, float] = {}
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
         for wid in range(workers):
             self._spawn_worker(wid)
-        self._byes = 0
-        self._await_ready(start_timeout)
-        self._collector = threading.Thread(target=self._collect,
-                                           name="macross-serve-collector",
-                                           daemon=True)
-        self._collector.start()
-        self._supervisor: Optional[threading.Thread] = None
-        if supervise:
-            self._supervisor = threading.Thread(
-                target=self._supervise, name="macross-serve-supervisor",
-                daemon=True)
-            self._supervisor.start()
+        self._await_ready()
+        self._thread = threading.Thread(target=self._loop,
+                                        name="macross-serve-loop",
+                                        daemon=True)
+        self._thread.start()
 
     # -- lifecycle -------------------------------------------------------------
     def _spawn_worker(self, wid: int) -> None:
-        """(Re)create lane ``wid``: fresh request/result queues and a
-        process.  A dead lane's old queues are abandoned wholesale — the
-        request queue's undelivered messages correspond exactly to the
-        tickets the supervisor re-dispatches, and the result queue may
-        be unusable outright: a SIGKILL that lands inside the worker's
-        feeder thread leaves the queue's cross-process write lock
-        permanently held (or a frame half-written in the pipe), so a
-        restarted lane must never inherit it."""
+        """(Re)create lane ``wid``: a fresh request queue, a fresh result
+        pipe and a process.  A dead lane's old request queue is abandoned
+        wholesale — its undelivered messages correspond exactly to the
+        tickets the loop re-dispatches."""
         old = self._requests[wid]
         if old is not None:
             old.cancel_join_thread()
             old.close()
-        old_results = self._result_queues[wid]
-        if old_results is not None:
-            self._retire_results(old_results)
         requests = self._ctx.Queue()
-        results = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(wid, requests, results, self.backend,
+            args=(wid, requests, writer, self.backend,
                   self._max_kernels, self._max_graphs,
                   self.wire_transport, self.shm_threshold, self.uid,
                   self.store_dir),
             name=f"macross-serve-w{wid}", daemon=True)
-        self._requests[wid] = requests
-        self._result_queues[wid] = results
-        self._procs[wid] = proc
         proc.start()
-        pump = threading.Thread(target=self._pump, args=(wid, results),
-                                name=f"macross-serve-pump-w{wid}",
-                                daemon=True)
-        self._pumps[wid] = pump
-        pump.start()
+        # The worker holds the only write end from here on.  With a copy
+        # left open in the parent, a SIGKILLed worker's lane would never
+        # reach EOF and whoever read it would block for good (PR 10's
+        # deadlock, there behind a shared queue and its write lock).
+        writer.close()
+        self._requests[wid] = requests
+        self._readers[wid] = reader
+        self._procs[wid] = proc
         self._alive[wid] = True
 
-    @staticmethod
-    def _retire_results(results: Any) -> None:
-        """Close the parent's copy of a lane result queue's write end.
-        With the worker process gone this leaves no writer at all, so
-        the lane's pump thread sees EOF (after draining anything the
-        worker did manage to send) and exits instead of blocking on a
-        channel that can never speak again."""
-        try:
-            results._writer.close()
-        except (OSError, ValueError):  # pragma: no cover - double close
-            pass
-
-    def _pump(self, wid: int, results: Any) -> None:
-        """Forward one lane's results into the in-process inbox until
-        the channel reaches EOF (worker exited and the parent's write
-        end retired) or dies mid-frame under a SIGKILL."""
-        while True:
-            try:
-                item = results.get()
-            except (EOFError, OSError):
-                return  # channel closed: lane is done for good
-            except Exception:  # noqa: BLE001 - frame torn by a dying
-                continue       # writer; EOF follows on the next read
-            self._inbox.put(item)
-
-    def _await_ready(self, timeout: float) -> None:
+    def _await_ready(self) -> None:
         """Consume one MSG_READY per worker before serving (keeps process
-        startup out of every latency measurement)."""
-        ready = 0
-        deadline = time.monotonic() + timeout
-        while ready < self.workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+        startup out of every latency measurement).  A worker that dies
+        first hangs up its pipe, so there is no liveness to poll."""
+        waiting = {reader: wid for wid, reader in enumerate(self._readers)}
+        deadline = time.monotonic() + _START_TIMEOUT_S
+        while waiting:
+            ready = mp.connection.wait(
+                list(waiting), max(0.0, deadline - time.monotonic()))
+            if not ready:
                 self._kill()
                 raise ServeTimeout(
-                    f"only {ready}/{self.workers} workers ready after "
-                    f"{timeout:.0f}s")
-            dead = [p for p in self._procs
-                    if not p.is_alive() and p.exitcode is not None]
-            if dead:
+                    f"only {self.workers - len(waiting)}/{self.workers} "
+                    f"workers ready after {_START_TIMEOUT_S:.0f}s")
+            for reader in ready:
+                wid = waiting.pop(reader)
+                message = self._recv(reader)
+                if message is not None and message[0] == MSG_READY:
+                    continue
                 self._kill()
+                if message is not None:  # MSG_BYE carrying a traceback
+                    raise ServeError(
+                        f"worker {wid} failed to start: "
+                        f"{message[2].get('error', 'unknown')}")
                 raise ServeError(
-                    f"{len(dead)} worker(s) died during startup (exit "
-                    f"codes {[p.exitcode for p in dead]}) — with the "
-                    f"'spawn' start method the entry script must be "
-                    f"importable (guard it with __main__)")
-            try:
-                kind, wid, payload = self._inbox.get(
-                    timeout=min(remaining, 0.5))
-            except thread_queue.Empty:
-                continue
-            if kind == MSG_READY:
-                ready += 1
-            elif kind == MSG_BYE:  # worker died during startup
-                self._kill()
-                raise ServeError(
-                    f"worker {wid} failed to start: "
-                    f"{payload.get('error', 'unknown')}")
+                    f"worker {wid} died during startup (exit code "
+                    f"{self._procs[wid].exitcode}) — with the 'spawn' "
+                    f"start method the entry script must be importable "
+                    f"(guard it with __main__)")
 
     def __enter__(self) -> "ServePool":
         return self
@@ -364,14 +342,10 @@ class ServePool:
 
     def _kill(self) -> None:
         for proc in self._procs:
-            if proc is not None and proc.is_alive():
+            if proc.is_alive():
                 proc.terminate()
         for proc in self._procs:
-            if proc is not None:
-                proc.join(timeout=5.0)
-        for results in self._result_queues:
-            if results is not None:
-                self._retire_results(results)
+            proc.join(timeout=5.0)
 
     # -- fault injection -------------------------------------------------------
     def kill_worker(self, wid: Optional[int] = None) -> int:
@@ -390,74 +364,164 @@ class ServePool:
         os.kill(pid, signal.SIGKILL)
         return victim
 
-    # -- supervision -----------------------------------------------------------
-    def _supervise(self) -> None:
-        """Watch worker sentinels; on death, requeue + restart."""
-        while not self._stopped:
-            with self._lock:
-                watched = [(wid, self._procs[wid])
-                           for wid in range(self.workers)
-                           if self._alive[wid]]
-            if not watched:
-                time.sleep(_SENTINEL_WAIT_S)
-                continue
-            try:
-                fired = mp.connection.wait(
-                    [proc.sentinel for _wid, proc in watched],
-                    timeout=_SENTINEL_WAIT_S)
-            except OSError:  # a sentinel closed under us mid-wait
-                fired = []
-            if not fired:
-                continue
-            for wid, proc in watched:
-                if proc.sentinel in fired and not proc.is_alive():
-                    if self._stopping:
-                        continue  # orderly shutdown, not a crash
-                    self._on_worker_death(wid, proc)
+    # -- the loop --------------------------------------------------------------
+    def _loop(self) -> None:
+        """The pool's one service thread.  Blocks until a lane has a
+        message, a live worker's sentinel fires, a restart back-off ends
+        or ``shutdown()`` wakes it, and handles each inline; returns once
+        teardown has started and every lane has hung up."""
+        while True:
+            if self._stopping:
+                self._restart_at.clear()
+            readers = {reader: wid
+                       for wid, reader in enumerate(self._readers)
+                       if reader is not None}
+            if self._stopping and not readers:
+                return
+            sentinels = {self._procs[wid].sentinel: wid
+                         for wid in range(self.workers) if self._alive[wid]}
+            timeout = None
+            if self._restart_at:
+                timeout = max(0.0, min(self._restart_at.values())
+                              - time.monotonic())
+            for ready in mp.connection.wait(
+                    [*readers, *sentinels, self._wake_r], timeout):
+                if ready in readers:
+                    self._read_lane(readers[ready])
+                elif ready in sentinels:
+                    self._on_worker_death(sentinels[ready])
+                else:
+                    self._wake_r.recv_bytes()
+            now = time.monotonic()
+            for wid in [w for w, at in self._restart_at.items()
+                        if at <= now]:
+                self._restart(wid)
 
-    def _on_worker_death(self, wid: int, proc: Any) -> None:
-        """One lane died: scavenge its segments, re-dispatch its
-        in-flight sessions (at most once each), restart it with bounded
-        exponential backoff."""
+    @staticmethod
+    def _recv(reader: Any) -> Optional[tuple]:
+        """One ``(kind, worker, payload)`` message from a lane's pipe, or
+        ``None`` once the lane has hung up: EOF from a worker that
+        exited, or a frame torn by SIGKILL (``OSError``).  Neither can
+        block past the writer's death, because the worker held the
+        pipe's only write end."""
+        try:
+            return reader.recv()
+        except (EOFError, OSError):
+            return None
+
+    def _read_lane(self, wid: int, *, to_eof: bool = False) -> None:
+        """Handle the next message on lane ``wid``'s pipe — every
+        remaining one with ``to_eof``, which only a dead writer makes
+        safe — and retire the pipe once the lane has hung up."""
+        reader = self._readers[wid]
+        if reader is None:
+            return
+        while (message := self._recv(reader)) is not None:
+            self._on_message(*message)
+            if not to_eof:
+                return
+        reader.close()
+        self._readers[wid] = None
+
+    def _on_message(self, kind: str, wid: int, payload: Any) -> None:
+        if kind == MSG_RESULT:
+            try:
+                payload = load_result_shm(payload)
+                result = decode_result(payload)
+            except Exception as exc:  # noqa: BLE001 - corrupt wire
+                result = SessionResult(
+                    seq=payload.get("seq", -1) if isinstance(
+                        payload, dict) else -1,
+                    worker=wid,
+                    error=f"decode failed: {type(exc).__name__}: {exc}")
+            self._finish(wid, result)
+            self.registry.resolve(result.seq)
+        elif kind == MSG_BYE:
+            with self._lock:
+                self.stats[wid].env = dict(payload or {})
+        # MSG_READY from a restarted lane needs no action: its requeued
+        # work is already sitting in the lane's queue.
+
+    def _finish(self, wid: int, result: SessionResult) -> None:
         with self._lock:
-            if self._procs[wid] is not proc or not self._alive[wid]:
-                return  # stale notification (lane already replaced)
+            ticket = self._pending.pop(result.seq, None)
+            if ticket is None:
+                return  # already failed, or served twice: nobody waits
+            # Charge the lane the ticket is *currently* placed on:
+            # re-dispatch may have moved it, and a result a dying lane
+            # managed to send must release the depth slot its ticket now
+            # occupies, not the dead lane's.
+            result.retried = ticket.retried
+            self.stats[ticket.worker].charge(result)
+            self._settle(ticket, result)
+        if self.tracer.enabled:
+            self.tracer.event(
+                "serve.session", cat="serve", worker=wid,
+                seq=result.seq, graph=result.graph_name,
+                ok=result.ok, retried=result.retried,
+                latency_ms=round(ticket.latency_s * 1e3, 3),
+                busy_ms=round(result.busy_s * 1e3, 3),
+                graph_cache_hit=result.graph_cache_hit)
+
+    def _settle(self, ticket: SessionTicket, result: SessionResult) -> None:
+        """Resolve a ticket already taken out of ``_pending`` (lock held:
+        whoever ``drain`` wakes finds the ticket done)."""
+        ticket._resolve(result)
+        self._settled.notify_all()
+
+    # -- supervision -----------------------------------------------------------
+    def _on_worker_death(self, wid: int) -> None:
+        """Lane ``wid``'s sentinel fired: honour whatever it finished
+        sending, scavenge its segments, and either schedule its restart
+        (bounded exponential back-off, as a deadline of the loop's wait)
+        or, with the restart budget spent, re-place or fail its in-flight
+        sessions now."""
+        proc = self._procs[wid]
+        proc.join()  # already exiting: returns at once, and reaps
+        self._read_lane(wid, to_eof=True)
+        with self._lock:
             self._alive[wid] = False
-            exitcode = proc.exitcode
-            stranded = sorted(
-                (t for t in self._pending.values() if t.worker == wid),
-                key=lambda t: t.seq)
-            stats = self.stats[wid]
+            if self._stopping:
+                return  # orderly exit; shutdown() fails what is left
+            stranded = [t.seq for t in self._pending.values()
+                        if t.worker == wid]
+            restarts = self.stats[wid].restarts
         if self.tracer.enabled:
             self.tracer.event("serve.worker_died", cat="serve",
-                              worker=wid, exitcode=exitcode,
+                              worker=wid, exitcode=proc.exitcode,
                               stranded=len(stranded))
         # The dead worker may have created segments for results it never
         # (fully) announced: destroy them before any retry reuses the
         # deterministic names.
-        for ticket in stranded:
-            self.registry.scavenge(ticket.seq)
-        restarted = False
+        for seq in stranded:
+            self.registry.scavenge(seq)
+        if restarts < self.max_restarts:
+            self._restart_at[wid] = time.monotonic() + _backoff_s(restarts)
+        else:
+            self._requeue_stranded(wid, proc.exitcode)
+
+    def _restart(self, wid: int) -> None:
+        """Lane ``wid``'s back-off is over: respawn it and hand it back
+        the sessions it stranded."""
+        del self._restart_at[wid]
         with self._lock:
-            attempts = stats.restarts
-            can_restart = (not self._stopping
-                           and attempts < self.max_restarts)
-        if can_restart:
-            backoff = min(self.restart_backoff_s * (2 ** attempts),
-                          _BACKOFF_CAP_S)
-            time.sleep(backoff)
-            with self._lock:
-                if not self._stopping:
-                    self._spawn_worker(wid)
-                    stats.restarts += 1
-                    restarted = True
-            if restarted and self.tracer.enabled:
-                self.tracer.event("serve.worker_restarted", cat="serve",
-                                  worker=wid, attempt=attempts + 1,
-                                  backoff_s=backoff)
-        if not restarted:
-            # The lane stays dead: let its pump drain and exit on EOF.
-            self._retire_results(self._result_queues[wid])
+            if self._stopping:
+                return
+            exitcode = self._procs[wid].exitcode
+            self._spawn_worker(wid)
+            self.stats[wid].restarts += 1
+            attempt = self.stats[wid].restarts
+        if self.tracer.enabled:
+            self.tracer.event("serve.worker_restarted", cat="serve",
+                              worker=wid, attempt=attempt,
+                              backoff_s=_backoff_s(attempt - 1))
+        self._requeue_stranded(wid, exitcode)
+
+    def _requeue_stranded(self, wid: int, exitcode: Optional[int]) -> None:
+        with self._lock:
+            stranded = sorted(
+                (t for t in self._pending.values() if t.worker == wid),
+                key=lambda t: t.seq)
         for ticket in stranded:
             self._redispatch_or_fail(ticket, wid, exitcode)
 
@@ -481,75 +545,26 @@ class ServePool:
                 else:
                     target = -1
             if target < 0:
-                self._pending.pop(ticket.seq, None)
-                self.stats[ticket.worker].charge(
-                    result := worker_died_result(
-                        ticket.seq, dead_wid, exitcode=exitcode,
-                        retried=ticket.retried))
-            else:
-                self.stats[ticket.worker].queue_depth -= 1
-                self.stats[dead_wid].requeued += 1
-                ticket.retried = True
-                ticket.worker = target
-                stats = self.stats[target]
-                stats.queue_depth += 1
-                if stats.queue_depth > stats.max_queue_depth:
-                    stats.max_queue_depth = stats.queue_depth
-        if target < 0:
-            ticket._resolve(result)
-            return
+                del self._pending[ticket.seq]
+                result = worker_died_result(
+                    ticket.seq, dead_wid, exitcode=exitcode,
+                    retried=ticket.retried)
+                self.stats[ticket.worker].charge(result)
+                self._settle(ticket, result)
+                return
+            self.stats[ticket.worker].queue_depth -= 1
+            self.stats[dead_wid].requeued += 1
+            ticket.retried = True
+            ticket.worker = target
+            stats = self.stats[target]
+            stats.queue_depth += 1
+            if stats.queue_depth > stats.max_queue_depth:
+                stats.max_queue_depth = stats.queue_depth
         self._dispatch(ticket)
         if self.tracer.enabled:
             self.tracer.event("serve.session_requeued", cat="serve",
                               seq=ticket.seq, from_worker=dead_wid,
                               to_worker=target)
-
-    # -- collector -------------------------------------------------------------
-    def _collect(self) -> None:
-        while not self._stopped:
-            try:
-                kind, wid, payload = self._inbox.get(timeout=_POLL_S)
-            except thread_queue.Empty:
-                continue
-            if kind == MSG_RESULT:
-                try:
-                    payload = load_result_shm(payload)
-                    result = decode_result(payload)
-                except Exception as exc:  # noqa: BLE001 - corrupt wire
-                    result = SessionResult(
-                        seq=payload.get("seq", -1) if isinstance(
-                            payload, dict) else -1,
-                        worker=wid,
-                        error=f"decode failed: {type(exc).__name__}: {exc}")
-                self._finish(wid, result)
-                self.registry.resolve(result.seq)
-            elif kind == MSG_BYE:
-                with self._lock:
-                    self.stats[wid].env = dict(payload or {})
-                    self._byes += 1
-            # MSG_READY from a supervisor-restarted lane needs no action:
-            # its requeued work is already sitting in the lane's queue.
-
-    def _finish(self, wid: int, result: SessionResult) -> None:
-        with self._lock:
-            ticket = self._pending.pop(result.seq, None)
-            if ticket is not None:
-                # Charge the lane the ticket is *currently* placed on:
-                # re-dispatch may have moved it, and a result a dying
-                # lane managed to send must release the depth slot its
-                # ticket now occupies, not the dead lane's.
-                result.retried = ticket.retried
-                self.stats[ticket.worker].charge(result)
-        if ticket is not None:
-            ticket._resolve(result)
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "serve.session", cat="serve", worker=wid,
-                    seq=result.seq, graph=result.graph_name,
-                    ok=result.ok, retried=result.retried,
-                    latency_ms=round(ticket.latency_s * 1e3, 3),
-                    busy_ms=round(result.busy_s * 1e3, 3),
-                    graph_cache_hit=result.graph_cache_hit)
 
     # -- submission ------------------------------------------------------------
     def _dispatch(self, ticket: SessionTicket) -> None:
@@ -569,9 +584,9 @@ class ServePool:
 
         Never blocks: backpressure is surfaced to the caller as data, so
         clients (and the load generator) decide whether to retry, shed,
-        or slow down.  A dead lane (awaiting supervised restart) is
-        simply ineligible — with every lane dead, submits shed rather
-        than hang.
+        or slow down.  A dead lane (awaiting restart) is simply
+        ineligible — with every lane dead, submits shed rather than
+        hang.
         """
         with self._lock:
             if self._closed:
@@ -621,97 +636,62 @@ class ServePool:
     def drain(self, timeout: Optional[float] = None) -> None:
         """Wait until every admitted session has completed.
 
-        Sentinel-aware: with supervision on, the supervisor thread
-        requeues or fails a dead lane's sessions, so this wait always
-        makes progress; without it, this loop itself converts a dead
-        lane's in-flight tickets into typed ``WorkerDied`` results
-        instead of blocking forever."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._lock:
-                if not self._pending:
-                    return
-                pending = list(self._pending.values())
-                lanes = [(wid, self._procs[wid], self._alive[wid])
-                         for wid in range(self.workers)]
-            if not self.supervise:
-                for wid, proc, alive in lanes:
-                    if alive and not proc.is_alive():
-                        for ticket in pending:
-                            if ticket.worker == wid \
-                                    and not ticket.done():
-                                self._finish(wid, worker_died_result(
-                                    ticket.seq, wid,
-                                    exitcode=proc.exitcode))
-                                self.registry.scavenge(ticket.seq)
-            if deadline is not None and time.monotonic() > deadline:
+        Always makes progress: the loop requeues or fails a dead lane's
+        sessions, so a SIGKILL mid-drain shrinks ``_pending`` like any
+        result does."""
+        with self._settled:
+            if not self._settled.wait_for(lambda: not self._pending,
+                                          timeout):
                 raise ServeTimeout(
-                    f"{self.in_flight()} session(s) still in flight after "
-                    f"{timeout}s drain")
-            time.sleep(_POLL_S)
+                    f"{len(self._pending)} session(s) still in flight "
+                    f"after {timeout}s drain")
 
     def shutdown(self, *, drain: bool = True,
                  timeout: float = 60.0) -> List[Dict[str, Any]]:
         """Gracefully stop: close the front door, optionally drain, send
         each worker its sentinel, merge lifetime stats, join.  Returns
-        the final per-worker stats snapshots (idempotent)."""
+        the final per-worker stats snapshots (idempotent; a second caller
+        racing the first waits for its teardown)."""
         with self._lock:
-            if self._closed and self._stopped:
-                return [s.snapshot() for s in self.stats]
             self._closed = True
+        with self._shutdown_lock:
+            if not self._stopped:
+                self._teardown(drain, timeout)
+        return self.stats_snapshot()
+
+    def _teardown(self, drain: bool, timeout: float) -> None:
         if drain:
             try:
                 self.drain(timeout=timeout)
             except ServeTimeout:
-                pass  # fall through to teardown; tickets fail below
+                pass  # fall through; the tickets fail below
         with self._lock:
-            self._stopping = True  # supervisor: stop restarting lanes
-            expected_byes = self._byes + sum(
-                1 for wid in range(self.workers)
-                if self._alive[wid] and self._procs[wid].is_alive())
-        for wid in range(self.workers):
-            if self._alive[wid]:
-                try:
-                    self._requests[wid].put(None)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
+            self._stopping = True  # exits are orderly from here on
+            live = [wid for wid in range(self.workers) if self._alive[wid]]
+        for wid in live:
+            self._requests[wid].put(None)
+        self._wake_w.send_bytes(b"stopping")
         deadline = time.monotonic() + timeout
         for proc in self._procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()) + 1.0)
-        # Give the collector a beat to drain the workers' MSG_BYE stats
-        # (they may still sit in the result queue after the join).
-        grace = time.monotonic() + 2.0
-        while self._byes < expected_byes and time.monotonic() < grace:
-            time.sleep(_POLL_S)
-        self._stopped = True
-        if self._collector.is_alive():
-            self._collector.join(timeout=5.0)
-        if self._supervisor is not None and self._supervisor.is_alive():
-            self._supervisor.join(timeout=5.0)
         self._kill()
-        for pump in self._pumps:
-            if pump is not None and pump.is_alive():
-                pump.join(timeout=5.0)
+        # The loop has read every worker's MSG_BYE stats by the time the
+        # last lane hangs up, which is when it returns.
+        self._thread.join(timeout=5.0)
+        self._stopped = True
         with self._lock:
-            orphans = list(self._pending.values())
-            self._pending.clear()
-        for ticket in orphans:
-            self.registry.scavenge(ticket.seq)
-            ticket._resolve(SessionResult(
-                seq=ticket.seq, worker=ticket.worker,
-                error="pool shut down before completion"))
+            while self._pending:
+                _seq, ticket = self._pending.popitem()
+                self._settle(ticket, SessionResult(
+                    seq=ticket.seq, worker=ticket.worker,
+                    error="pool shut down before completion"))
         # No segment may outlive the pool, whatever path got us here.
         self.registry.scavenge_all()
         for requests in self._requests:
-            if requests is not None:
-                requests.cancel_join_thread()
-                requests.close()
-        for results in self._result_queues:
-            if results is not None:
-                try:
-                    results._reader.close()
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
+            requests.cancel_join_thread()
+            requests.close()
+        self._wake_r.close()
+        self._wake_w.close()
         if self.tracer.enabled:
             for stats in self.stats:
                 self.tracer.event(f"serve.worker{stats.worker}",
@@ -719,7 +699,6 @@ class ServePool:
                                       k: v for k, v in
                                       stats.snapshot().items()
                                       if k not in ("cache", "env")})
-        return [s.snapshot() for s in self.stats]
 
     def stats_snapshot(self) -> List[Dict[str, Any]]:
         with self._lock:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from ..perf.counters import PerActorCounters
@@ -90,14 +90,6 @@ class SessionSpec:
     #: worker-local thread cores (>1 routes through the parallel runtime
     #: *inside* the worker process).
     cores: int = 1
-    #: service-time emulation (the Figure-13 calibrated-pace idiom lifted
-    #: to whole sessions): when > 0, the worker pays the session's
-    #: *modeled* steady-state cycles in wall clock at this rate
-    #: (``sleep(steady_cycles * seconds_per_cycle)`` after executing).
-    #: Sleeping frees the CPU, so cross-process throughput scaling is
-    #: measurable even on a single-CPU container — this is what
-    #: ``BENCH_serve.json`` runs with.  ``0.0`` (default) disables it.
-    seconds_per_cycle: float = 0.0
     #: client correlation label, echoed back on the result.
     tag: str = ""
 
@@ -110,10 +102,6 @@ class SessionSpec:
                 f"iterations must be >= 1, got {self.iterations}")
         if self.cores < 1:
             raise ServeError(f"cores must be >= 1, got {self.cores}")
-        if self.seconds_per_cycle < 0.0:
-            raise ServeError(
-                f"seconds_per_cycle must be >= 0, "
-                f"got {self.seconds_per_cycle}")
 
     def graph_key(self) -> str:
         """Content-addressed identity of the *compiled graph* this spec
@@ -166,7 +154,7 @@ class SessionResult:
     #: in-worker service time (compile + execute), seconds.
     busy_s: float = 0.0
     #: True when the session was re-dispatched after its original lane
-    #: died (stamped by the pool's supervisor, at most once per session).
+    #: died (stamped by the pool, at most once per session).
     retried: bool = False
     #: ``"ExcType: message"`` when the session failed; outputs are empty.
     error: Optional[str] = None
@@ -190,7 +178,7 @@ class SessionResult:
 class WorkerDied(SessionResult):
     """Typed terminal outcome for a session stranded by a dead lane.
 
-    Produced parent-side by the pool's supervisor (it never crosses the
+    Produced parent-side by the pool's loop (it never crosses the
     wire): the session was *accepted* but its worker process died before
     answering, and at-most-once re-dispatch was either already spent
     (``retried=True``) or impossible (no lane left to restart).  Checks
@@ -228,13 +216,16 @@ def counter_bags(per_actor: PerActorCounters) -> Dict[int, Dict[str, int]]:
 
 
 def encode_result(result: SessionResult) -> Dict[str, Any]:
-    """Serialize a result for the cross-process result queue.
+    """Serialize a result for the cross-process result pipe.
 
+    The wire dict shares ``outputs`` / ``init_outputs`` with ``result``
+    rather than copying them item by item: the worker drops the result
+    right after encoding it, and pickling copies the bytes anyway.
     Counter-bag keys become strings (dict keys survive JSON round-trips
     too, should a transport ever want text); :func:`decode_result`
     restores the int keys.
     """
-    wire = asdict(result)
+    wire = {f.name: getattr(result, f.name) for f in fields(result)}
     wire["v"] = WIRE_VERSION
     wire["steady_bags"] = {str(aid): dict(bag)
                            for aid, bag in result.steady_bags.items()}

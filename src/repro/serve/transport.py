@@ -1,14 +1,15 @@
 """Shared-memory result transport for the serving runtime.
 
-The stock wire path pickles every :class:`~.session.SessionResult`
-through the pool's ``mp.Queue`` — fine for counter bags, painful for
-sessions whose output streams run to thousands of values (the queue
-feeder thread serializes, copies, and re-materializes every element).
+The stock wire path (``wire_transport="queue"``) pickles every
+:class:`~.session.SessionResult` whole down its lane's result pipe —
+fine for counter bags, painful for sessions whose output streams run to
+thousands of values (every element is serialized, copied through the
+pipe, and re-materialized).
 This module gives large output arrays a zero-copy lane: the worker packs
 them into a :class:`multiprocessing.shared_memory.SharedMemory` segment
 (NdTape-backed outputs are already contiguous int64/float64, so the pack
 is a straight ``memoryview`` blit) and ships only the segment *name* on
-the queue; the parent attaches, reads, and unlinks.
+the pipe; the parent attaches, reads, and unlinks.
 
 Three invariants keep the segments from leaking:
 
@@ -26,7 +27,7 @@ Three invariants keep the segments from leaking:
   unlinks), so a worker exiting cannot tear the segment down while the
   parent still reads it, and cannot spam tracker warnings either.
 
-Small results stay on the queue: :data:`SHM_THRESHOLD_DEFAULT` (values
+Small results stay inline: :data:`SHM_THRESHOLD_DEFAULT` (values
 per result, overridable per pool and via ``MACROSS_SHM_THRESHOLD``)
 keeps the segment setup cost off the fast path for tiny sessions.  The
 ``wire_transport`` seam — ``"queue"`` (never touch shm) vs ``"shm"``

@@ -29,7 +29,7 @@ from .session import (SessionResult, SessionSpec, counter_bags,
 
 __all__ = ["WorkerEnv", "worker_main"]
 
-#: Control-message kinds on the result queue (worker -> pool).
+#: Control-message kinds on a lane's result pipe (worker -> pool).
 MSG_READY = "ready"
 MSG_RESULT = "result"
 MSG_BYE = "bye"
@@ -175,12 +175,6 @@ class WorkerEnv:
             result = execute(entry.graph, entry.schedule, machine=machine,
                              iterations=spec.iterations,
                              backend=self.backend, cores=spec.cores)
-            if spec.seconds_per_cycle > 0.0:
-                # Service-time emulation: pay the modeled compute cost in
-                # wall clock.  The sleep frees the CPU, so paced sessions
-                # overlap across worker processes even on one core.
-                time.sleep(result.steady_cycles(machine)
-                           * spec.seconds_per_cycle)
             busy = time.perf_counter() - start
             self.stats.busy_s += busy
             return SessionResult(
@@ -206,7 +200,7 @@ class WorkerEnv:
                 error=f"{type(exc).__name__}: {exc}")
 
 
-def worker_main(worker_id: int, request_queue: Any, result_queue: Any,
+def worker_main(worker_id: int, request_queue: Any, results: Any,
                 backend: str, max_kernels: Optional[int],
                 max_graphs: Optional[int],
                 wire_transport: str = "queue",
@@ -217,21 +211,23 @@ def worker_main(worker_id: int, request_queue: Any, result_queue: Any,
     then serve requests until the ``None`` shutdown sentinel arrives.
 
     Requests arrive as ``(seq, spec_wire)`` tuples; every response is a
-    ``(kind, worker_id, payload)`` tuple on the shared result queue.
+    ``(kind, worker_id, payload)`` tuple sent from this (the main)
+    thread down ``results``, the write end of the lane's one-way pipe —
+    the pool relies on that being the pipe's only writer.
     With ``wire_transport="shm"``, results whose output arrays reach
     ``shm_threshold`` values travel as named shared-memory segments
     (``pool_uid`` keys the deterministic segment names) and only the
-    envelope crosses the queue.  ``store_dir`` plugs in the per-machine
+    envelope crosses the pipe.  ``store_dir`` plugs in the per-machine
     on-disk artifact store.
     """
     try:
         env = WorkerEnv(backend, max_kernels=max_kernels,
                         max_graphs=max_graphs, store=store_dir)
     except Exception:  # pragma: no cover - only on broken installs
-        result_queue.put((MSG_BYE, worker_id,
-                          {"error": traceback.format_exc()}))
+        results.send((MSG_BYE, worker_id,
+                      {"error": traceback.format_exc()}))
         return
-    result_queue.put((MSG_READY, worker_id, None))
+    results.send((MSG_READY, worker_id, None))
     while True:
         message = request_queue.get()
         if message is None:
@@ -248,5 +244,5 @@ def worker_main(worker_id: int, request_queue: Any, result_queue: Any,
             from .transport import stage_result_shm
             out = stage_result_shm(out, uid=pool_uid, worker=worker_id,
                                    seq=seq, threshold=shm_threshold)
-        result_queue.put((MSG_RESULT, worker_id, out))
-    result_queue.put((MSG_BYE, worker_id, env.stats.snapshot()))
+        results.send((MSG_RESULT, worker_id, out))
+    results.send((MSG_BYE, worker_id, env.stats.snapshot()))

@@ -97,6 +97,20 @@ class TestWireFormat:
         assert not decode_result(encode_result(result)).ok
 
 
+def test_encode_does_not_copy_outputs():
+    """The wire dict carries the output lists by reference (the worker
+    drops the result right after encoding; pickling copies the bytes):
+    a per-item deep copy cost 3x the execution of a 32 768-item result."""
+    result = SessionResult(seq=1, outputs=[1.0] * 8, init_outputs=[2.0],
+                           steady_bags={3: {"fire": 4}})
+    wire = encode_result(result)
+    assert wire["outputs"] is result.outputs
+    assert wire["init_outputs"] is result.init_outputs
+    # The str-keyed bag rewrite still builds fresh dicts.
+    assert wire["steady_bags"] == {"3": {"fire": 4}}
+    assert result.steady_bags == {3: {"fire": 4}}
+
+
 def test_overload_is_data_not_exception():
     overload = ServeOverload(worker=-1, queue_depth=8, limit=8)
     assert not isinstance(overload, Exception)

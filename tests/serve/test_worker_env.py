@@ -109,25 +109,6 @@ class TestVectorServing:
         assert dict(second.kernel_cache)["compiled"] == 0
 
 
-class TestServicePacing:
-    def test_paced_session_pays_modeled_cycles_in_wall_clock(self):
-        env = WorkerEnv("compiled")
-        rate = 1e-7
-        spec = SessionSpec(benchmark="DCT", iterations=1,
-                           seconds_per_cycle=rate)
-        result = env.run_session(spec)
-        assert result.ok, result.error
-        ref = direct_reference(SessionSpec(benchmark="DCT", iterations=1))
-        # Outputs are untouched by pacing; only service time stretches.
-        assert result.outputs == list(ref.outputs)
-        assert result.busy_s >= ref.steady_cycles(CORE_I7) * rate
-
-    def test_negative_rate_rejected(self):
-        from repro.serve import ServeError
-        with pytest.raises(ServeError):
-            SessionSpec(benchmark="DCT", seconds_per_cycle=-1.0)
-
-
 class TestSessionErrors:
     def test_bad_benchmark_is_reported_not_raised(self):
         env = WorkerEnv("compiled")
