@@ -1,9 +1,16 @@
 """Reusable source and sink filters for the benchmark programs.
 
 Sources are stateful (a counter or PRNG seed) so they are — correctly —
-excluded from SIMDization, exactly like StreamIt's file/radio sources on
-the paper's platform.  All sources are deterministic, so scalar and
-SIMDized executions of a program are comparable element-for-element.
+excluded from *MacroSS SIMDization*, exactly like StreamIt's file/radio
+sources on the paper's platform: the compile passes leave them scalar and
+their counter bags (so every modeled figure) say so.  That is the paper's
+rule about the *modeled* machine, not about how the host runs them: the
+vector runtime still batches a source's firings when its state update is
+a map ``s ← (a·s + c) % m`` of constants — the ramp's ``t ← t + step`` in
+closed form, the LCG below as an exact int64 jump-ahead scan
+(:mod:`repro.runtime.vector.kernel`) — charging the same per-firing
+events.  All sources are deterministic, so scalar and SIMDized executions
+of a program are comparable element-for-element.
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ axes: stateless maps, deep-peeking FIR-style filters, stateful
 accumulators (horizontal SIMDization's selling point), prework-built
 coefficient tables, duplicate and round-robin split-joins with unequal
 weights, isomorphic arms (horizontal candidates), int/float mixes, and
-rates that force Equation (1) repetition scaling.
+rates that force Equation (1) repetition scaling — fed by a ramp or by a
+linear congruential source ``s ← (a·s + c) % m`` (the recurrence the
+vector backend scans; the benchmark apps' ``*_src`` actors).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..graph.actor import FilterSpec, StateVar
 from ..graph.builtins import duplicate_splitter, roundrobin_joiner, \
@@ -129,12 +131,19 @@ def chain_ratio(stages: Tuple[StageDesc, ...]) -> Fraction:
 
 @dataclass(frozen=True)
 class ProgramDesc:
-    """A whole generated program: a ramp source plus a stage chain."""
+    """A whole generated program: a source plus a stage chain."""
 
     source_push: int = 4
     source_dtype: str = "float"
     stages: Tuple[StageDesc, ...] = ()
     name: str = "fuzz"
+    #: ``(a, c, m, seed)`` of an LCG source ``s ← (a·s + c) % m``; ``None``
+    #: is the ramp ``t ← t + 1``.
+    source_lcg: Optional[Tuple[int, int, int, int]] = None
+
+    @property
+    def source_kind(self) -> str:
+        return "ramp" if self.source_lcg is None else "lcg"
 
     def final_dtype(self) -> str:
         dtype = self.source_dtype
@@ -272,6 +281,23 @@ def materialize_stage(stage: StageDesc) -> StreamNode:
     return splitjoin(splitter, branches, joiner)
 
 
+def make_lcg_source(push: int, dtype: str, lcg: Tuple[int, int, int, int],
+                    name: str = "src") -> FilterSpec:
+    """``s ← (a·s + c) % m`` pushed raw (int) or mapped into [-1, 1) like
+    :func:`repro.apps.sources.lcg_source` (float)."""
+    a, c, m, seed = lcg
+    b = WorkBuilder()
+    s = b.var("s")
+    with b.loop("i", 0, push):
+        b.set(s, (s * a + c) % m)
+        b.push(s if dtype == "int"
+               else call("float", s % 2000) / 1000.0 - 1.0)
+    ty = _scalar_type(dtype)
+    return FilterSpec(name, pop=0, push=push, data_type=ty, output_type=ty,
+                      state=(StateVar("s", INT, 0, seed),),
+                      work_body=b.build())
+
+
 def make_source(push: int, dtype: str, name: str = "src") -> FilterSpec:
     """Deterministic ramp source of the requested element type."""
     ty = _scalar_type(dtype)
@@ -301,7 +327,12 @@ def materialize(desc: ProgramDesc) -> Program:
     (the executor collects the terminal *filter*'s pushes)."""
     nodes: List[StreamNode] = [materialize_stage(s) for s in desc.stages]
     from ..graph.structure import FilterNode
-    head = FilterNode(make_source(desc.source_push, desc.source_dtype))
+    if desc.source_lcg is not None:
+        source = make_lcg_source(desc.source_push, desc.source_dtype,
+                                 desc.source_lcg)
+    else:
+        source = make_source(desc.source_push, desc.source_dtype)
+    head = FilterNode(source)
     if desc.stages and isinstance(desc.stages[-1], SplitJoinDesc):
         nodes.append(FilterNode(make_tail(desc.final_dtype())))
     return Program(desc.name, pipeline(head, *nodes))
@@ -329,13 +360,19 @@ def desc_to_dict(desc: ProgramDesc) -> Dict[str, Any]:
                          for branch in stage.branches],
         }
 
-    return {
+    out = {
         "version": 1,
         "name": desc.name,
         "source_push": desc.source_push,
         "source_dtype": desc.source_dtype,
         "stages": [stage_dict(s) for s in desc.stages],
     }
+    if desc.source_lcg is not None:
+        # Ramp programs keep the serialized form (and therefore the
+        # content hash) they had before sources had kinds.
+        out["source_kind"] = desc.source_kind
+        out["source_lcg"] = list(desc.source_lcg)
+    return out
 
 
 def desc_from_dict(data: Dict[str, Any]) -> ProgramDesc:
@@ -358,4 +395,6 @@ def desc_from_dict(data: Dict[str, Any]) -> ProgramDesc:
         source_push=data["source_push"],
         source_dtype=data.get("source_dtype", "float"),
         stages=tuple(stage_from(s) for s in data.get("stages", [])),
-        name=data.get("name", "fuzz"))
+        name=data.get("name", "fuzz"),
+        source_lcg=(tuple(data["source_lcg"])
+                    if data.get("source_kind", "ramp") == "lcg" else None))

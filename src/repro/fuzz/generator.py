@@ -12,12 +12,18 @@ hand-rolled hypothesis strategies in ``tests/properties/``:
   horizontal SIMDization;
 * int/float element types with explicit conversions at stage boundaries;
 * pops/pushes that are non-multiples of the SIMD width, stressing the
-  Equation (1) repetition rescaling.
+  Equation (1) repetition rescaling;
+* linear congruential sources ``s ← (a·s + c) % m`` beside the ramp — the
+  state class the vector backend runs as an int64 jump-ahead scan — with
+  moduli that are not powers of two, ``a = 1``, ``c = 0``, a seed outside
+  ``[0, m)`` (run-time guard → replay) and ``m = 2**31 + 1`` (build
+  refusal).
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import List, Tuple
 
 from .descriptions import (
@@ -36,6 +42,17 @@ _HORIZONTAL_WIDTHS = (4, 8)
 _FLOAT_SCALES = (0.5, 1.0, 1.5, 2.0, -1.5, 0.25)
 _INT_SCALES = (1, 2, 3, -2)
 _DECAYS = (0.25, 0.5, 0.75, 0.9)
+
+#: Source kinds a program is drawn from (the mutation tests switch the
+#: LCG kind off here to show which defects only it can reach).
+SOURCE_KINDS = ("ramp", "lcg")
+
+#: LCG source draws: glibc / Park–Miller (``m = 2**31 - 1``, ``c = 0``)
+#: multipliers, the modular-counter case ``a = 1``, small and non-power-of-
+#: two moduli, and one modulus past the int64-exact limit.
+_LCG_A = (1103515245, 16807, 1, 5)
+_LCG_C = (12345, 0, 1, 7)
+_LCG_M = (2 ** 31, 2 ** 31 - 1, 1000, 8, 2 ** 31 + 1)
 
 
 class _NameGen:
@@ -191,8 +208,15 @@ def generate_program(rng: random.Random, *, index: int = 0,
         stages.append(stage)
         if isinstance(stage, FilterDesc):
             dtype = stage.out_dtype
-    return ProgramDesc(
+    desc = ProgramDesc(
         source_push=rng.randint(2, 6),
         source_dtype=source_dtype,
         stages=tuple(stages),
         name=f"fuzz{index}")
+    # Drawn last, and always in full, so the stage chain of every program
+    # is the same with the LCG kind switched on or off.
+    a, c, m = rng.choice(_LCG_A), rng.choice(_LCG_C), rng.choice(_LCG_M)
+    seed = rng.choice((1, 12345, 88172645, m + 3))
+    if rng.random() < 0.5 and "lcg" in SOURCE_KINDS:
+        desc = replace(desc, source_lcg=(a, c, m, seed))
+    return desc

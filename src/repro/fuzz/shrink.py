@@ -10,7 +10,8 @@ that *still fails* and discarding the rest:
 2. **split-join collapse** — replace a split-join with one of its
    branches spliced into the pipeline, or drop branches down to two;
 3. **rate reduction** — lower ``pop``/``push``/``peek_extra``/
-   ``source_push`` and splitter weights toward 1;
+   ``source_push`` and splitter weights toward 1, and demote an LCG
+   source to the ramp;
 4. **body simplification** — drop post-transform funcs, neutralize
    ``scale``/``offset``/``decay``, demote exotic kinds
    (``prework``/``stateful``/``peeking`` → ``map``), collapse int/float
@@ -128,6 +129,8 @@ def _candidates(desc: ProgramDesc) -> Iterator[ProgramDesc]:
     if desc.source_push > 1:
         yield replace(desc, source_push=1)
         yield replace(desc, source_push=desc.source_push - 1)
+    if desc.source_lcg is not None:
+        yield replace(desc, source_lcg=None)
     if desc.source_dtype != "float":
         yield replace(desc, source_dtype="float")
     # 4. Per-stage simplifications.
@@ -142,7 +145,7 @@ def _candidates(desc: ProgramDesc) -> Iterator[ProgramDesc]:
 
 def _size(desc: ProgramDesc) -> Tuple[int, int]:
     """Ordering key: (filter actors, serialized weight-ish complexity)."""
-    complexity = desc.source_push
+    complexity = desc.source_push + (desc.source_lcg is not None)
 
     def stage_cost(stage: StageDesc) -> int:
         if isinstance(stage, FilterDesc):

@@ -63,7 +63,9 @@ class ExecutionResult:
     #: ``size`` (kernels resident after the run).
     kernel_cache: Optional[Dict[str, int]] = None
     #: vector backend only: per-actor vectorization decision — ``"vector"``
-    #: (batch array kernel), ``"vector:mover"`` (batched native mover), or
+    #: (batch array kernel), ``"vector:scan"`` (batch kernel whose state
+    #: recurrence ``s ← (a·s + c) % m`` runs as an int64 jump-ahead scan),
+    #: ``"vector:mover"`` (batched native mover), or
     #: ``"fallback: <reason>"`` (per-firing compiled path).  When a
     #: batched actor's ndarray tape degraded to list storage mid-run
     #: (vector payloads, non-numeric elements, ints beyond exact range)

@@ -6,11 +6,12 @@ body and serve as the per-firing fallback) — and additionally attempts to
 build a :class:`~.kernel.BatchKernel` per filter once its init body has
 run.  Actors whose work body vectorizes execute ``n`` consecutive firings
 as a handful of numpy array operations through ``run_work_batch``; actors
-that do not (stateful beyond affine induction, data-dependent control
-flow, inexact intrinsics, ...) fall back to the compiled path per firing,
-and the decision — ``"vector"`` or ``"fallback: <reason>"`` — is recorded
-per actor and surfaced through ``ExecutionResult.vectorized`` and the obs
-layer.
+that do not (state outside the modular-affine class ``s ← (a·s + c) % m``,
+data-dependent control flow, inexact intrinsics, ...) fall back to the
+compiled path per firing, and the decision — ``"vector"``,
+``"vector:scan"`` (the kernel runs a modular state recurrence as an int64
+jump-ahead scan) or ``"fallback: <reason>"`` — is recorded per actor and
+surfaced through ``ExecutionResult.vectorized`` and the obs layer.
 
 Movers (splitters/joiners) batch too, through the ``n``-firing closures
 :mod:`repro.runtime.movers` derives from each mover's lane map.
@@ -82,7 +83,9 @@ class VectorActor(CompiledActor):
         try:
             self._batch_kernel = build_batch_kernel(
                 self.rt, self._spec, self._in_vector)
-            self.vector_status = "vector"
+            scanned = any(av.m is not None
+                          for av in self._batch_kernel.aff_vars)
+            self.vector_status = "vector:scan" if scanned else "vector"
         except Unvectorizable as exc:
             self._batch_kernel = None
             self.vector_status = f"fallback: {exc}"

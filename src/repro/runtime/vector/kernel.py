@@ -21,8 +21,28 @@ closure path) anything whose batch semantics it cannot prove exact:
 
 * data-dependent control flow (``If`` on a tape value, non-constant peek
   offsets, vector branch conditions);
-* state that is not an *affine induction* (``s ← s + c`` with constant
-  ``c``) or a never-written array/vector read;
+* state that is neither a never-written array/vector read nor a scalar
+  whose every in-firing update folds to one **modular-affine map**
+  ``s ← (a·s + c) % m`` of build-time constants.  Two classes batch:
+  the *affine induction* ``s ← s + c`` (``a = 1``, no modulus; ``int``,
+  ``bool`` or dyadic ``float``), evaluated in closed form
+  ``base + k·c``; and the *modular recurrence* on an ``int`` state with
+  integer ``a ≥ 0``, ``c ≥ 0``, ``0 < m ≤ 2**31`` — LCG sources, and
+  modular counters ``(ph + 1) % 8`` as its ``a = 1`` case.  Composition
+  of such maps is associative, so the firing's updates compose into one
+  per-firing map ``F``, ``F⁰ … Fⁿ⁻¹`` come from a cached log-doubling
+  *jump-ahead table*, and every in-firing read is one
+  ``(A_j·S + C_j) % m`` column over the firing-start states ``S``.  It
+  is exact because nothing is ever negative — the IR's C-style
+  truncated ``%`` and numpy's floored one coincide — and every int64
+  intermediate ``A·S + C`` stays below ``2**62 + 2**31 < 2**63`` (all of
+  ``A``, ``C``, ``S`` are below ``m ≤ 2**31``); the column then enters
+  the float64 register file below ``2**53``.  The run-time guard is
+  ``type(s) is int and 0 <= s < m``.  Refused by name: negative
+  coefficients, ``m > 2**31``, multiplicative growth without a modulus
+  (``s ← 3·s + 1``), state times state, float recurrences
+  (``acc·0.9 + x``) and accumulators that fold stream data
+  (``acc ← acc + pop()``);
 * integer arithmetic it cannot bound below ``2**53`` (float64 carries
   integers exactly only up to that limit — a *bounds* lattice tracks the
   max magnitude of every column and emits runtime *checks*);
@@ -41,16 +61,19 @@ the compiled path.  Runtime surprises inside array evaluation raise
 committed to tapes, state, or counters until every array has been
 computed).
 
-Two deliberately injectable defects, ``_MUT_READ_SHIFT`` (off-by-one tail:
-shifts every slab read) and ``_MUT_SWAP_SUB`` (wrong operand order on
-subtraction), exist for the fuzz mutation tests: the differential oracle
-must catch and shrink both.
+Three deliberately injectable defects, ``_MUT_READ_SHIFT`` (off-by-one
+tail: shifts every slab read), ``_MUT_SWAP_SUB`` (wrong operand order on
+subtraction) and ``_MUT_SCAN_SHIFT`` (off-by-one in the jump-ahead
+index), exist for the fuzz mutation tests: the differential oracle must
+catch and shrink all three.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import threading
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ...graph.actor import FilterSpec
 from ...ir import expr as E
@@ -74,6 +97,15 @@ _EXACT_LIMIT = float(2 ** 53)
 _DYADIC_SCALE = float(2 ** 16)
 _DYADIC_LIMIT = _EXACT_LIMIT / _DYADIC_SCALE
 
+#: Largest modulus of a batched recurrence ``s ← (a·s + c) % m``: with
+#: ``a``, ``c`` and ``s`` all below ``m ≤ 2**31`` every int64 intermediate
+#: ``a·s + c`` stays below ``2**62 + 2**31``.
+_MOD_LIMIT = 2 ** 31
+
+#: Jump-ahead table length; longer batches are scanned in chunks of this
+#: many firings from the carried state, so a cached table stays 64 KiB.
+_SCAN_CHUNK = 4096
+
 #: Abstract-walk step budget (guards against huge unrolled loops).
 _MAX_WALK_STEPS = 20000
 
@@ -85,6 +117,9 @@ _INF = float("inf")
 _MUT_READ_SHIFT = 0
 #: When True, ``a - b`` computes ``b - a`` — wrong operand order.
 _MUT_SWAP_SUB = False
+#: When non-zero, firing ``k`` of a scanned recurrence reads
+#: ``F^(k+shift)(s)`` — an off-by-one in the jump-ahead index.
+_MUT_SCAN_SHIFT = 0
 
 
 class Unvectorizable(Exception):
@@ -100,17 +135,79 @@ class _Abort(Exception):
     firing-by-firing through the fallback path."""
 
 
-_ARANGE_CACHE: Dict[int, Any] = {}
+class _SharedArrays:
+    """Bounded cache of the constant arrays every kernel in the process
+    shares.  ``get`` is insert-or-get under a lock (``parallel_execute``
+    runs kernels on concurrent core threads), evicts the least recently
+    used entry first, and hands out read-only arrays: one in-place op on a
+    shared constant would silently corrupt every later batch."""
+
+    def __init__(self, make: Callable[[Any], Tuple[Any, ...]],
+                 limit: int) -> None:
+        self._make = make
+        self._limit = limit
+        self._items: "OrderedDict[Hashable, Tuple[Any, ...]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable) -> Tuple[Any, ...]:
+        with self._lock:
+            arrays = self._items.get(key)
+            if arrays is not None:
+                self._items.move_to_end(key)
+                return arrays
+            arrays = self._make(key)
+            for arr in arrays:
+                arr.setflags(write=False)
+            self._items[key] = arrays
+            if len(self._items) > self._limit:
+                self._items.popitem(last=False)
+            return arrays
+
+
+_ARANGES = _SharedArrays(lambda n: (np.arange(n, dtype=np.float64),), 64)
 
 
 def _arange(n: int) -> Any:
-    cached = _ARANGE_CACHE.get(n)
-    if cached is None:
-        if len(_ARANGE_CACHE) > 64:
-            _ARANGE_CACHE.clear()
-        cached = np.arange(n, dtype=np.float64)
-        _ARANGE_CACHE[n] = cached
-    return cached
+    return _ARANGES.get(n)[0]
+
+
+def _make_jump_table(step: Tuple[int, int, int]) -> Tuple[Any, Any]:
+    """``(P, Q)`` with ``F^k(s) = (P[k]·s + Q[k]) % m`` for
+    ``k ≤ _SCAN_CHUNK``, where ``F(s) = (a·s + c) % m``.  Log-doubling:
+    ``F^(k+h) = F^k ∘ F^h`` extends ``[0, h)`` to ``[h, 2h)`` in two array
+    ops, since ``P[k+h] = P[k]·P[h]`` and ``Q[k+h] = P[k]·Q[h] + Q[k]``."""
+    a, c, m = step
+    size = _SCAN_CHUNK + 1
+    P = np.empty(size, dtype=np.int64)
+    Q = np.empty(size, dtype=np.int64)
+    P[0], Q[0] = 1, 0
+    h = 1
+    while h < size:
+        ph = a * int(P[h - 1]) % m          # F^h = F ∘ F^(h-1)
+        qh = (a * int(Q[h - 1]) + c) % m
+        span = min(h, size - h)
+        P[h:h + span] = P[:span] * ph % m
+        Q[h:h + span] = (P[:span] * qh + Q[:span]) % m
+        h += span
+    return P, Q
+
+
+_JUMP_TABLES = _SharedArrays(_make_jump_table, 16)
+
+
+def _scan(step: Tuple[int, int, int], s: int, n: int) -> Any:
+    """The states ``s, F(s), …, F^n(s)`` of ``F(s) = (a·s + c) % m`` as one
+    int64 column (``0 <= s < m <= 2**31``, so nothing overflows)."""
+    P, Q = _JUMP_TABLES.get(step)
+    m = step[2]
+    chunk = len(P) - 1
+    shift = _MUT_SCAN_SHIFT
+    out = np.empty(n + 1 + shift, dtype=np.int64)
+    for pos in range(0, len(out), chunk):
+        k = min(chunk, len(out) - pos)
+        out[pos:pos + k] = (P[:k] * s + Q[:k]) % m
+        s = (int(P[chunk]) * s + int(Q[chunk])) % m
+    return out[shift:]
 
 
 def _tag_of_const(v: Any) -> str:
@@ -122,28 +219,40 @@ def _tag_of_const(v: Any) -> str:
 
 
 class _AffineVar:
-    """Build-time record of one scalar state variable used affinely."""
+    """Build-time record of one scalar state variable whose per-firing
+    update is the map ``s ← (a·s + c) % m``: the affine induction
+    ``s ← s + c`` when ``m`` is ``None`` (then ``a`` is 1), else a modular
+    recurrence scanned in int64."""
 
-    __slots__ = ("name", "baked_type", "delta", "sum_folds", "folds_integral",
-                 "folds_dyadic", "materialized")
+    __slots__ = ("name", "baked_type", "a", "c", "m", "sum_folds",
+                 "folds_integral", "folds_dyadic", "materialized", "reads",
+                 "rows", "why")
 
     def __init__(self, name: str, baked_type: type) -> None:
         self.name = name
         self.baked_type = baked_type
-        self.delta: Any = 0           # net per-firing increment
+        self.a = 1                    # the per-firing map, composed over
+        self.c: Any = 0               # the firing's updates (c: the net
+        self.m: Optional[int] = None  # increment when there is no modulus)
         self.sum_folds: float = 0.0   # Σ|c| over every folded constant
         self.folds_integral = True    # every folded constant is integral
         self.folds_dyadic = True      # … a multiple of 2^-16 (exact sums)
         self.materialized = False     # some column was generated from it
+        # Folded ``(A·S + C) % M`` reads of the firing-start state S, each
+        # one row of the batch's scan matrix; ``rows`` holds them as three
+        # int64 column vectors (A, C, M) once the walk is over.
+        self.reads: Dict[Tuple[int, int, int], int] = {}
+        self.rows: Any = None
+        self.why = ""                 # why the last unfoldable use was one
 
 
 class BatchKernel:
     """A compiled batch program: validate, evaluate arrays, commit."""
 
-    __slots__ = ("actor_id", "a_in", "a_out", "need", "in_vector", "width",
-                 "instrs", "rtags", "bound_fns", "checks", "records",
-                 "state_reads", "sread_types", "aff_vars", "events",
-                 "internal_used", "n_regs")
+    __slots__ = ("a_in", "a_out", "need", "in_vector", "width", "instrs",
+                 "rtags", "bound_fns", "checks", "records", "state_reads",
+                 "sread_types", "aff_vars", "events", "internal_used",
+                 "n_regs")
 
     def __init__(self, **kw: Any) -> None:
         for name in self.__slots__:
@@ -256,12 +365,23 @@ class BatchKernel:
 
         aff_base: Dict[str, Any] = {}
         aff_bound: Dict[str, float] = {}
+        # int64 firing-start states S_0 … of every variable read through
+        # folded ``% M`` forms (modular recurrences carry S_n as well).
+        scans: Dict[str, Any] = {}
         for av in self.aff_vars:
             sv = rt.state.get(av.name, _Abort)
             if type(sv) is not av.baked_type:
                 return False
-            delta = av.delta
-            if av.baked_type is float:
+            delta = av.c
+            if av.m is not None:
+                # Modular recurrence: exact only from inside [0, m).
+                if not 0 <= sv < av.m:
+                    return False
+                scans[av.name] = _scan((av.a, av.c, av.m), sv, n)
+                bound = float(av.m - 1) + av.sum_folds
+                if av.materialized and bound >= _EXACT_LIMIT:
+                    return False
+            elif av.baked_type is float:
                 limit = _EXACT_LIMIT
                 if delta != 0 or av.sum_folds > 0:
                     if sv.is_integer() and av.folds_integral:
@@ -281,6 +401,14 @@ class BatchKernel:
                     bound = _INF
                 if (delta != 0 or av.materialized) and bound >= _EXACT_LIMIT:
                     return False
+                if av.reads:
+                    # A plain counter read through a folded ``% M``: the
+                    # same int64 products, so the same range for every S_k.
+                    if not (0 <= sv < _MOD_LIMIT
+                            and 0 <= sv + (n - 1) * delta < _MOD_LIMIT):
+                        return False
+                    scans[av.name] = (_arange(n) * float(delta)
+                                      + float(sv)).astype(np.int64)
             else:  # bool: build guaranteed delta == 0 and d == 0 reads
                 bound = 1.0
             aff_base[av.name] = sv
@@ -309,10 +437,16 @@ class BatchKernel:
                 return False
         a_in = self.a_in
         shift = _MUT_READ_SHIFT
-        aff_delta = {av.name: av.delta for av in self.aff_vars}
+        aff_delta = {av.name: av.c for av in self.aff_vars}
         regs: List[Any] = []
         try:
             with np.errstate(all="ignore"):
+                # One (reads × n) matrix per scanned variable: row j is the
+                # column ``(A_j·S + C_j) % M_j`` of its j-th folded read.
+                reduced = {
+                    av.name: ((av.rows[0] * scans[av.name][:n] + av.rows[1])
+                              % av.rows[2]).astype(np.float64)
+                    for av in self.aff_vars if av.reads}
                 for ins in self.instrs:
                     op = ins[0]
                     if op == "slab":
@@ -335,10 +469,17 @@ class BatchKernel:
                             col = np.full(n, arr[pos, lane])
                         regs.append(col)
                     elif op == "aff":
-                        _, name, d, tag = ins
+                        _, name, row, d, tag = ins
                         base = aff_base[name]
                         delta = aff_delta[name]
-                        if delta == 0:
+                        if row is not None:
+                            col = reduced[name][row]
+                            if d:
+                                col = col + float(d)
+                        elif name in scans:
+                            col = scans[name][:n].astype(np.float64) \
+                                + float(d)
+                        elif delta == 0:
                             if tag == "bool":
                                 col = np.full(n, base, dtype=bool)
                             else:
@@ -389,8 +530,10 @@ class BatchKernel:
             # compaction must not move it while `arr` views are still live.
             inp.advance_reader(release)
         for av in self.aff_vars:
-            if av.delta != 0:
-                rt.state[av.name] = aff_base[av.name] + n * av.delta
+            if av.m is not None:
+                rt.state[av.name] = int(scans[av.name][n])
+            elif av.c != 0:
+                rt.state[av.name] = aff_base[av.name] + n * av.c
         bag = rt.counters.events
         for event, count in self.events.items():
             bag[event] += count * n
@@ -603,14 +746,20 @@ class BatchKernel:
 # Abstract values:
 #   ('c', v)              constant (exact Python value)
 #   ('r', i)              column register i (tag in self.rtags[i])
-#   ('a', name, d, hf)    affine scalar-state read: state + d (hf: a float
-#                         constant participated in the folds)
+#   ('a', name, inner, mul, add, hf)
+#                         scalar-state form ``mul·I + add`` of the
+#                         firing-start state S, where I is S itself
+#                         (``inner`` None) or the folded modular read
+#                         ``(A·S + C) % M`` (``inner`` = (A, C, M)); hf: a
+#                         float constant participated in the folds.  The
+#                         affine induction read ``state + d`` is
+#                         ``(None, 1, d)``.
 #   ('s', j)              batch-constant read of never-written array/vector
 #                         state (j indexes state_reads)
 # Vectors are Python lists of abstract values, mirroring the interpreter's
 # list identity/aliasing semantics exactly.
 
-_FOLD_OPS = frozenset({"+", "-"})
+_FOLD_OPS = frozenset({"+", "-", "*", "%"})
 _BITWISE = frozenset({"<<", ">>", "&", "|", "^"})
 _CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
@@ -637,10 +786,10 @@ class _Builder:
         self.max_read = -1
         self.sim_internal: Dict[int, List[Any]] = {}
         self.internal_used = False
-        # In-flight (offset, has_float) of each affine state var *within*
-        # the firing; committed to the var's per-firing delta on
-        # assignment.
-        self._cur: Dict[str, Tuple[Any, bool]] = {}
+        # In-flight form (inner, mul, add, has_float) of each assigned
+        # state var *within* the firing; the last one is the var's
+        # per-firing map (see :meth:`build`).
+        self._cur: Dict[str, Tuple[Any, Any, Any, bool]] = {}
 
     # -- small helpers ---------------------------------------------------------
     def fail(self, reason: str) -> None:
@@ -690,12 +839,12 @@ class _Builder:
         if kind == "s":
             t = self.sread_types[av[1]]
             return "bool" if t is bool else ("float" if t is float else "int")
-        # affine read
-        _, name, d, hf = av
+        # state form (bool state never folds ``*`` / ``%``)
+        _, name, _inner, _mul, add, hf = av
         baked = self.aff[name].baked_type
         if hf or baked is float:
             return "float"
-        if baked is bool and d == 0:
+        if baked is bool and add == 0:
             return "bool"
         return "int"
 
@@ -704,12 +853,23 @@ class _Builder:
         affine reads into columns."""
         kind = av[0]
         if kind == "a":
-            _, name, d, hf = av
+            _, name, inner, mul, add, hf = av
+            if mul != 1:
+                # A product no ``% M`` folded back: ordinary (bounded)
+                # arithmetic over the base column.
+                reg = self.arith("*", self.operand(
+                    ("a", name, inner, 1, 0, hf)), ("c", mul))
+                return self.arith("+", reg, ("c", add)) if add else reg
             var = self.aff[name]
             var.materialized = True
             tag = self.tag_of(av)
-            bound = (lambda nm: lambda bv, mw, ab, sv: ab[nm])(name)
-            return self.new_reg(("aff", name, d, tag), tag, bound)
+            if inner is None:
+                return self.new_reg(("aff", name, None, add, tag), tag,
+                                    lambda bv, mw, ab, sv: ab[name])
+            row = var.reads.setdefault(inner, len(var.reads))
+            limit = float(inner[2] - 1 + abs(add))
+            return self.new_reg(("aff", name, row, add, tag), tag,
+                                lambda bv, mw, ab, sv: limit)
         if kind == "c":
             v = av[1]
             if type(v) is int and not -_EXACT_LIMIT < v < _EXACT_LIMIT:
@@ -945,15 +1105,16 @@ class _Builder:
 
     def assign_state(self, name: str, value: Any) -> None:
         if self.is_vec(value) or value[0] != "a" or value[1] != name:
-            self.fail("stateful: non-affine state update")
-        _, _, d, hf = value
+            var = self.aff.get(name)
+            self.fail("stateful: " + (var.why if var is not None and var.why
+                                      else "non-affine state update"))
+        _, _, inner, mul, add, hf = value
         var = self.aff[name]
         if hf and var.baked_type is not float:
             self.fail("stateful: state type changes under float update")
-        if var.baked_type is bool and d != 0:
+        if var.baked_type is bool and add != 0:
             self.fail("stateful: bool state leaves {0,1} under update")
-        var.delta = d
-        self._cur[name] = (d, hf)
+        self._cur[name] = (inner, mul, add, hf)
 
     # ==========================================================================
     # Expressions
@@ -1066,8 +1227,7 @@ class _Builder:
                 self.fail(f"unsupported state type for {name!r}")
             var = _AffineVar(name, baked)
             self.aff[name] = var
-        d, hf = self._cur.get(name, (0, False))
-        return ("a", name, d, hf)
+        return ("a", name, *self._cur.get(name, (None, 1, 0, False)))
 
     def state_const(self, name: str, path: Tuple[int, ...],
                     value: Any) -> Tuple[Any, ...]:
@@ -1232,8 +1392,8 @@ class _Builder:
         """Uncharged scalar combine (callers charge the op event once)."""
         if left[0] == "c" and right[0] == "c":
             return self.fold_const(op, left[1], right[1])
-        # Affine induction folds: (state + d) ± const stays affine.
-        if op in _FOLD_OPS:
+        # State-form folds: (mul·I + add) ∘ const stays a state form.
+        if op in _FOLD_OPS and (left[0] == "a" or right[0] == "a"):
             folded = self.try_affine_fold(op, left, right)
             if folded is not None:
                 return folded
@@ -1257,30 +1417,66 @@ class _Builder:
 
     def try_affine_fold(self, op: str, left: Any,
                         right: Any) -> Optional[Tuple[Any, ...]]:
-        if left[0] == "a" and right[0] == "c" \
-                and type(right[1]) in (bool, int, float):
-            c = right[1]
-            _, name, d, hf = left
-            new_d = d + c if op == "+" else d - c
-        elif op == "+" and right[0] == "a" and left[0] == "c" \
-                and type(left[1]) in (bool, int, float):
-            c = left[1]
-            _, name, d, hf = right
-            new_d = c + d
+        """Fold ``form ∘ constant`` into a new state form, or return None
+        (the op then runs as ordinary column arithmetic) after noting on
+        the variable why — the reason a later assignment of the result
+        back to the state is refused with."""
+        if left[0] == "a" and right[0] == "c":
+            form, c = left, right[1]
+        elif op in ("+", "*") and right[0] == "a" and left[0] == "c":
+            form, c = right, left[1]
         else:
+            for side, other in ((left, right), (right, left)):
+                if side[0] == "a":
+                    self.aff[side[1]].why = (
+                        "state multiplied by state"
+                        if op == "*" and other[0] == "a"
+                        else "state folds stream data"
+                        if other[0] == "r" else "")
             return None
+        _, name, inner, mul, add, hf = form
         var = self.aff[name]
-        fc = abs(float(c)) if type(c) is not int \
-            else (abs(c) if -_EXACT_LIMIT < c < _EXACT_LIMIT else None)
-        if fc is None:
+        var.why = ""
+        if op in ("+", "-"):
+            plain = inner is None and mul == 1
+            if type(c) not in (bool, int, float) \
+                    or (type(c) is float and not plain):
+                return None
+            fc = abs(float(c)) if type(c) is not int \
+                else (abs(c) if -_EXACT_LIMIT < c < _EXACT_LIMIT else None)
+            if fc is None:
+                return None
+            if plain:
+                var.sum_folds += fc
+                if type(c) is float and not c.is_integer():
+                    var.folds_integral = False
+                    if not (c * _DYADIC_SCALE).is_integer():
+                        var.folds_dyadic = False
+            hf = hf or type(c) is float
+            return ("a", name, inner, mul, add + c if op == "+" else add - c,
+                    hf)
+        if var.baked_type is not int or hf or type(c) is not int:
+            if op == "*":
+                var.why = "float recurrence (state scaled by a non-integer)"
             return None
-        var.sum_folds += fc
-        if type(c) is float and not c.is_integer():
-            var.folds_integral = False
-            if not (c * _DYADIC_SCALE).is_integer():
-                var.folds_dyadic = False
-        hf = hf or type(c) is float
-        return ("a", name, new_d, hf)
+        if op == "*":
+            return ("a", name, inner, mul * c, add * c, hf)
+        # ``%``: every operand non-negative, so C's truncated remainder is
+        # the residue and the coefficients reduce mod c.
+        if c <= 0:
+            return None
+        if c > _MOD_LIMIT:
+            var.why = "modulus exceeds 2**31"
+            return None
+        if mul < 0 or add < 0:
+            var.why = "negative coefficient under a modulus"
+            return None
+        if inner is None:
+            return ("a", name, (mul % c, add % c, c), 1, 0, hf)
+        if inner[2] != c:
+            return None
+        return ("a", name, (mul * inner[0] % c, (mul * inner[1] + add) % c, c),
+                1, 0, hf)
 
     def tag_join(self, *tags: str) -> str:
         if "float" in tags:
@@ -1509,6 +1705,23 @@ class _Builder:
     # ==========================================================================
     def build(self) -> BatchKernel:
         self.walk_body(self.spec.work_body)
+        # The last in-firing form of each assigned variable is its
+        # per-firing map.
+        for name, (inner, mul, add, _hf) in self._cur.items():
+            var = self.aff[name]
+            if mul != 1:
+                self.fail("stateful: multiplicative state update without "
+                          "a modulus")
+            if inner is None:
+                var.c = add
+            elif add:
+                self.fail("stateful: modular state update leaves [0, m)")
+            else:
+                var.a, var.c, var.m = inner
+        for var in self.aff.values():
+            if var.reads:
+                var.rows = np.array(list(var.reads), dtype=np.int64) \
+                    .T.reshape(3, -1, 1)
         for buf, items in self.sim_internal.items():
             if items:
                 self.fail(f"internal buffer {buf} not drained by firing")
@@ -1533,7 +1746,6 @@ class _Builder:
             if bvals[idx] == _INF:
                 self.fail("unbounded integer arithmetic")
         return BatchKernel(
-            actor_id=self.rt.actor_id,
             a_in=a_in,
             a_out=a_out,
             need=need,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -43,6 +44,46 @@ def test_generated_programs_are_valid_and_runnable(seed):
 def test_json_roundtrip_exact():
     for desc in _gen(7, 20):
         assert desc_from_dict(desc_to_dict(desc)) == desc
+
+
+def test_lcg_source_kind_serializes_and_ramp_form_is_unchanged():
+    """Sources have kinds; the default ``ramp`` keeps the serialized form
+    (so the content hash, so every stored corpus filename) it had before,
+    and corpus entries written without a kind load as ramps."""
+    from repro.fuzz.corpus import DEFAULT_CORPUS, desc_hash, load_corpus
+    ramp = ProgramDesc(source_push=3)
+    assert ramp.source_kind == "ramp"
+    assert set(desc_to_dict(ramp)) == {
+        "version", "name", "source_push", "source_dtype", "stages"}
+    for path, desc in load_corpus(DEFAULT_CORPUS):
+        assert path.name == f"repro_{desc_hash(desc)}.json"
+    lcg = ProgramDesc(source_push=3, source_dtype="int",
+                      source_lcg=(16807, 0, 2 ** 31 - 1, 1))
+    data = desc_to_dict(lcg)
+    assert lcg.source_kind == data["source_kind"] == "lcg"
+    assert desc_from_dict(data) == lcg
+    assert desc_hash(lcg) != desc_hash(replace(lcg, source_lcg=None))
+
+
+@pytest.mark.parametrize("dtype", ["int", "float"])
+@pytest.mark.parametrize("lcg", [
+    (1103515245, 12345, 2 ** 31, 12345),    # glibc
+    (16807, 0, 2 ** 31 - 1, 1),             # Park-Miller: m not 2**k
+    (1, 7, 1000, 1003),                     # a = 1, seed >= m
+    (5, 1, 2 ** 31 + 1, 88172645),          # m past the int64-exact limit
+])
+def test_lcg_source_materializes_the_recurrence(lcg, dtype):
+    a, c, m, s = lcg
+    desc = ProgramDesc(source_push=3, source_dtype=dtype, source_lcg=lcg)
+    graph = flatten(materialize(desc))
+    got = execute(graph, build_schedule(graph), machine=CORE_I7,
+                  iterations=2).outputs
+    want = []
+    for _ in got:
+        s = (s * a + c) % m
+        want.append(s if dtype == "int" else float(s % 2000) / 1000.0 - 1.0)
+    assert got == want and len(got) == 6
+    assert {type(x) for x in got} == {int if dtype == "int" else float}
 
 
 def test_roundtrip_preserves_materialized_outputs():
@@ -99,6 +140,17 @@ def test_generator_covers_interesting_features():
     assert saw_splitjoin and saw_roundrobin and saw_unequal
     assert saw_int
     assert saw_horizontal_width
+    # Source kinds: ramps and LCGs, the latter over every guard/refusal
+    # corner the vector backend's state scan has.
+    lcgs = [d.source_lcg for d in descs if d.source_lcg is not None]
+    assert lcgs and len(lcgs) < len(descs)
+    assert any(m == 2 ** 31 - 1 for _, _, m, _ in lcgs)    # not 2**k
+    assert any(m == 2 ** 31 + 1 for _, _, m, _ in lcgs)    # build refusal
+    assert any(a == 1 for a, _, _, _ in lcgs)
+    assert any(c == 0 for _, c, _, _ in lcgs)
+    assert any(s >= m for _, _, m, s in lcgs)              # guard → replay
+    assert {d.source_dtype for d in descs if d.source_lcg} == \
+        {"int", "float"}
 
 
 def test_horizontal_candidates_actually_merge():

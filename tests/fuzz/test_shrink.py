@@ -27,6 +27,16 @@ def test_shrink_to_trivial_when_everything_fails():
     assert result.source_push == 1
 
 
+def test_shrink_demotes_lcg_source_to_ramp():
+    """lcg → ramp is a shrink step: taken when the failure does not need
+    the recurrence, kept when it does."""
+    from dataclasses import replace
+    desc = replace(_big_desc(), source_lcg=(16807, 0, 2 ** 31 - 1, 1))
+    assert shrink(desc, lambda d: True).source_lcg is None
+    kept = shrink(desc, lambda d: d.source_lcg is not None)
+    assert kept.source_lcg == desc.source_lcg and not kept.stages
+
+
 def test_shrink_noop_when_nothing_else_fails():
     """A predicate pinned to the original accepts no candidate."""
     original = _big_desc()

@@ -1,13 +1,16 @@
 """Mutation testing of the vector-backend oracle axis.
 
 The fuzz matrix gained a third backend (``…/vector``); these tests prove
-that axis is not vacuous.  :mod:`repro.runtime.vector.kernel` carries two
-deliberately injectable defects — ``_MUT_READ_SHIFT`` (off-by-one on
-every batched slab read) and ``_MUT_SWAP_SUB`` (swapped subtraction
-operands) — representing the two classic ways a batch kernel miscompiles:
-wrong *addressing* and wrong *arithmetic*.  With either seam armed, the
-interp-vs-vector oracle must diverge; with both disarmed, the identical
-campaign must be clean.
+that axis is not vacuous.  :mod:`repro.runtime.vector.kernel` carries
+three deliberately injectable defects — ``_MUT_READ_SHIFT`` (off-by-one on
+every batched slab read), ``_MUT_SWAP_SUB`` (swapped subtraction
+operands) and ``_MUT_SCAN_SHIFT`` (off-by-one in the jump-ahead index of a
+scanned state recurrence) — representing the classic ways a batch kernel
+miscompiles: wrong *addressing*, wrong *arithmetic* and wrong *state*.
+With any seam armed, the interp-vs-vector oracle must diverge; with all
+disarmed, the identical campaign must be clean.  The scan seam is only
+reachable through the generator's LCG source kind: with that kind
+switched off the armed mutant survives the same campaign.
 
 Batch kernels only execute for actors firing more than once per checked
 iteration, so the direct oracle tests use a rate-mismatched pipeline
@@ -20,9 +23,11 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+import repro.fuzz.generator as fuzz_generator
 import repro.runtime.vector.kernel as vector_kernel
-from repro.apps.sources import checksum_sink, ramp_source
+from repro.apps.sources import checksum_sink, lcg_source, ramp_source
 from repro.fuzz import check_program, run_fuzz
+from repro.fuzz.corpus import DEFAULT_CORPUS, desc_hash
 from repro.fuzz.harness import OPTION_SETS, check_graph, default_backends
 from repro.simd import list_targets
 from repro.graph.actor import FilterSpec
@@ -34,16 +39,18 @@ MUTATION_BUDGET = 8
 
 
 def _multi_firing_graph(op: str):
-    """source(8) -> worker(pop 2, push 2; fires 4x) -> sink(8)."""
+    """source(8) -> worker(pop 2, push 2; fires 4x) -> sink(8); ``"lcg"``
+    swaps in an LCG source(2) that itself fires 4x."""
     b = WorkBuilder()
     x = b.let("x", b.pop())
     y = b.let("y", b.pop())
     b.push((x - y) if op == "sub" else (x + y))
     b.push(x * 2.0)
     worker = FilterSpec("worker", pop=2, push=2, work_body=b.build())
+    source = lcg_source("src", push=2) if op == "lcg" \
+        else ramp_source("src", push=8, step=0.5)
     return flatten(Program("mut", pipeline(
-        ramp_source("src", push=8, step=0.5), worker,
-        checksum_sink("sink", pop=8))))
+        source, worker, checksum_sink("sink", pop=8))))
 
 
 def test_default_backends_includes_vector():
@@ -64,6 +71,7 @@ def test_three_backend_axis_is_clean_when_unmutated():
 @pytest.mark.parametrize("seam,value,op", [
     ("_MUT_READ_SHIFT", 1, "add"),
     ("_MUT_SWAP_SUB", True, "sub"),
+    ("_MUT_SCAN_SHIFT", 1, "lcg"),
 ])
 def test_injected_kernel_defect_is_caught(monkeypatch, seam, value, op):
     graph = _multi_firing_graph(op)
@@ -96,10 +104,44 @@ def test_fuzz_campaign_catches_read_shift_and_shrinks(monkeypatch, tmp_path):
 
 
 @pytest.mark.fuzz
+def test_fuzz_campaign_catches_scan_shift_and_shrinks(monkeypatch):
+    monkeypatch.setattr(vector_kernel, "_MUT_SCAN_SHIFT", 1)
+    report = run_fuzz(0, MUTATION_BUDGET, max_findings=1,
+                      backends=("vector",))
+    assert report.findings, "campaign missed the armed scan-shift defect"
+    finding = report.findings[0]
+    assert finding.divergence.kind == "backend"
+    assert finding.divergence.config.endswith("/vector")
+    # Shrunk to the scanned source itself: the lcg → ramp step would have
+    # hidden the defect, so the minimized program keeps its LCG.
+    assert finding.minimized.filter_count() <= 3, finding.minimized
+    assert finding.minimized.source_lcg is not None
+    assert not check_program(finding.minimized, backends=("vector",)).ok
+    monkeypatch.setattr(vector_kernel, "_MUT_SCAN_SHIFT", 0)
+    assert check_program(finding.minimized, backends=("vector",)).ok
+    # The minimized repro is committed to the in-tree corpus
+    # (content-addressed), where every later PR replays it.
+    expected = DEFAULT_CORPUS / f"repro_{desc_hash(finding.minimized)}.json"
+    assert expected.is_file(), f"regenerate with save_repro -> {expected}"
+
+
+@pytest.mark.fuzz
+def test_scan_shift_survives_without_the_lcg_source_kind(monkeypatch):
+    """The evidence the LCG fuzz axis is needed: ramp-only programs (the
+    generator before sources had kinds) never run a scanned recurrence,
+    so the same campaign passes the armed mutant."""
+    monkeypatch.setattr(vector_kernel, "_MUT_SCAN_SHIFT", 1)
+    monkeypatch.setattr(fuzz_generator, "SOURCE_KINDS", ("ramp",))
+    report = run_fuzz(0, MUTATION_BUDGET, backends=("vector",))
+    assert report.programs == MUTATION_BUDGET and report.ok
+
+
+@pytest.mark.fuzz
 def test_clean_campaign_over_vector_axis():
     """Control arm: same seed and budget, seams disarmed, vector-only
     axis — zero findings, so the detections above are signal."""
     assert vector_kernel._MUT_READ_SHIFT == 0
     assert not vector_kernel._MUT_SWAP_SUB
+    assert vector_kernel._MUT_SCAN_SHIFT == 0
     report = run_fuzz(0, MUTATION_BUDGET, backends=("vector",))
     assert report.ok, "\n".join(str(f.divergence) for f in report.findings)

@@ -1,8 +1,9 @@
 """The vector backend's fallback contract.
 
 A batch kernel is only built when the whole work body is provably
-batchable; everything else — non-affine state updates, data-dependent
-control flow or array indexing, inexact intrinsics — must route to the
+batchable; everything else — state updates outside the modular-affine
+class ``s ← (a·s + c) % m``, data-dependent control flow or array
+indexing, inexact intrinsics — must route to the
 per-firing compiled-closure path, be *recorded* as a fallback with its
 reason, and still be bit-identical to the interpreter.  These tests pin
 the routing decisions (per actor, through ``ExecutionResult.vectorized``
@@ -13,6 +14,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.apps.des import make_int_source
 from repro.apps.registry import get_benchmark
 from repro.apps.sources import checksum_sink, lcg_source, ramp_source
 from repro.graph.actor import FilterSpec, StateVar
@@ -23,15 +25,15 @@ from repro.perf.counters import PerActorCounters
 from repro.runtime import execute
 from repro.runtime.errors import StreamRuntimeError
 from repro.runtime.interpreter import ActorRuntime
-from repro.runtime.tape import Tape
+from repro.runtime.tape import NdTape, Tape
 from repro.runtime.vector.kernel import Unvectorizable, build_batch_kernel
 from repro.simd.machine import CORE_I7
 
 
-def _runtime(spec, data=(), width=4):
+def _runtime(spec, data=(), width=4, tape_cls=Tape):
     from repro.runtime.executor import state_initial_value
     counters = PerActorCounters()
-    inp, out = Tape("in"), Tape("out")
+    inp, out = tape_cls("in"), tape_cls("out")
     for item in data:
         inp.push(item)
     return ActorRuntime(
@@ -67,16 +69,97 @@ class TestBuildDecisions:
         kernel = _build(spec)
         assert kernel.need == 4  # window of 4 beyond each firing's base
 
-    def test_nonaffine_state_falls_back(self):
+    def test_lcg_sources_build_scan_kernels(self):
+        # s ← (a·s + c) % 2**31 is a modular recurrence: both LCG sources
+        # batch, as a float and as an int64 output column.
+        for spec, kind in ((lcg_source("src", push=4), "float"),
+                           (make_int_source("isrc", pairs=2), "int")):
+            rt = _runtime(spec, tape_cls=NdTape)
+            kernel = build_batch_kernel(rt, spec, False)
+            assert kernel.a_in == 0 and kernel.a_out == spec.push == 4
+            assert all(av.m == 2 ** 31 for av in kernel.aff_vars)
+            assert kernel.run(rt, 3) is True
+            assert len(rt.output) == 12
+            assert rt.output.dtype_kind == kind  # committed as ndarrays
+
+    @pytest.mark.parametrize("update,reason", [
+        (lambda b, s: (s * -3 + 7) % 64,
+         "stateful: negative coefficient under a modulus"),
+        (lambda b, s: (s * 3 - 1) % 64,
+         "stateful: negative coefficient under a modulus"),
+        (lambda b, s: (s * 5 + 1) % (2 ** 31 + 1),
+         "stateful: modulus exceeds 2**31"),
+        (lambda b, s: s * 3 + 1,
+         "stateful: multiplicative state update without a modulus"),
+        (lambda b, s: (s * s) % 64,
+         "stateful: state multiplied by state"),
+        (lambda b, s: (s * 5 + 1) % 64 + 1,
+         "stateful: modular state update leaves [0, m)"),
+    ])
+    def test_int_recurrence_refusals_are_named(self, update, reason):
+        b = WorkBuilder()
+        s = b.var("s")
+        b.set(s, update(b, s))
+        b.push(s)
+        spec = FilterSpec("r", pop=0, push=1, data_type=INT,
+                          state=(StateVar("s", INT, 0, 1),),
+                          work_body=b.build())
         with pytest.raises(Unvectorizable) as exc:
-            _build(lcg_source("src", push=4))
-        assert "state" in str(exc.value)
+            _build(spec)
+        assert str(exc.value) == reason
+
+    def test_float_iir_falls_back(self):
+        b = WorkBuilder()
+        acc = b.var("acc")
+        b.set(acc, acc * 0.9 + b.pop())
+        b.push(acc)
+        spec = FilterSpec("iir", pop=1, push=1,
+                          state=(StateVar("acc", FLOAT, 0, 0.0),),
+                          work_body=b.build())
+        with pytest.raises(Unvectorizable) as exc:
+            _build(spec)
+        assert str(exc.value) == \
+            "stateful: float recurrence (state scaled by a non-integer)"
 
     def test_stateful_accumulator_falls_back(self):
         # acc folds popped data into state: the update is data-dependent,
-        # not affine in the firing index.
-        with pytest.raises(Unvectorizable):
+        # not a map of build-time constants.
+        with pytest.raises(Unvectorizable) as exc:
             _build(checksum_sink("sink", pop=4))
+        assert str(exc.value) == "stateful: state folds stream data"
+
+    def test_modular_counter_vectorizes(self):
+        # (ph + 1) % 8 is the a = 1 case of the recurrence.
+        b = WorkBuilder()
+        ph = b.var("ph")
+        b.push(b.pop() + ph)
+        b.set(ph, (ph + 1) % 8)
+        spec = FilterSpec("ctr", pop=1, push=1, data_type=INT,
+                          state=(StateVar("ph", INT, 0, 5),),
+                          work_body=b.build())
+        rt = _runtime(spec, data=range(20))
+        kernel = build_batch_kernel(rt, spec, False)
+        assert kernel.run(rt, 20) is True
+        assert rt.output.drain() == [i + (5 + i) % 8 for i in range(20)]
+        assert rt.state["ph"] == (5 + 20) % 8
+
+    def test_plain_counter_read_through_modulus_vectorizes(self):
+        # t stays an affine induction; only its *read* folds `% 4`.
+        b = WorkBuilder()
+        t = b.var("t")
+        b.push(t % 4)
+        b.set(t, t + 3)
+        spec = FilterSpec("rd", pop=0, push=1, data_type=INT,
+                          state=(StateVar("t", INT, 0, 2),),
+                          work_body=b.build())
+        rt = _runtime(spec)
+        kernel = build_batch_kernel(rt, spec, False)
+        assert kernel.run(rt, 9) is True
+        assert rt.output.drain() == [(2 + 3 * k) % 4 for k in range(9)]
+        assert rt.state["t"] == 2 + 27
+        # A negative counter leaves the non-negative int64 lane: replay.
+        rt.state["t"] = -5
+        assert kernel.run(rt, 3) is False and rt.state["t"] == -5
 
     def test_data_dependent_branch_falls_back(self):
         b = WorkBuilder()
@@ -119,10 +202,8 @@ class TestRuntimeRouting:
     """End-to-end: the executor records which path each actor took."""
 
     def _mixed_graph(self):
-        # ramp (vectorizes, affine state) -> lcg-mix (falls back,
-        # non-affine state) is impossible in one pipeline since lcg pops
-        # nothing; instead: ramp -> doubler (vector) -> checksum
-        # (fallback, data-folding state).
+        # ramp (vector, affine state) -> doubler (vector, stateless) ->
+        # checksum (fallback: its state folds stream data).
         b = WorkBuilder()
         with b.loop("i", 0, 8):
             b.push(b.pop() * 2.0)
@@ -139,6 +220,16 @@ class TestRuntimeRouting:
         assert statuses["ramp"] == "vector"
         assert statuses["doubler"] == "vector"
         assert statuses["sink"].startswith("fallback: ")
+
+    def test_lcg_source_reports_scan_status(self):
+        # DCT's source was the app's one fallback; it now batches, and its
+        # status says the state is scanned.
+        graph = flatten(get_benchmark("DCT"))
+        result = execute(graph, iterations=2, backend="vector")
+        statuses = {graph.actors[a].name: v
+                    for a, v in result.vectorized.items()}
+        assert statuses["dct_src"] == "vector:scan"
+        assert all(v.startswith("vector") for v in statuses.values())
 
     def test_mixed_graph_passes_parity(self):
         graph = self._mixed_graph()
