@@ -43,7 +43,9 @@ bounded channels) and reports backpressure stalls — the outputs and
 modeled cycles are identical to the sequential run by construction.
 ``--stall-timeout SECONDS`` bounds every cross-core channel wait; on a
 stall timeout the CLI prints *which* channel stalled on which side (the
-deadlock diagnostics of the serving layer) and exits 3.
+deadlock diagnostics of the serving layer) and exits 3.  ``run`` exits
+1 when the SIMDized graph's outputs differ from the scalar graph's (or
+there is nothing to compare), like ``multicore`` does on ``MISMATCH``.
 
 ``serve`` runs sessions for one or more benchmarks through the
 process-sharded worker pool (``repro.serve``) and prints the per-worker
@@ -527,6 +529,10 @@ def _dispatch_inner(args: argparse.Namespace) -> int:
                     print(f"    fallback {name}: "
                           f"{status.split(': ', 1)[-1]}")
         _write_trace(tracer, args)
+        if matches != compared or compared == 0:
+            print(f"error: MacroSS outputs diverge from the scalar graph "
+                  f"({matches}/{compared} identical)", file=sys.stderr)
+            return 1
         return 0
 
     if args.command == "multicore":

@@ -44,7 +44,8 @@ from ..graph.validate import collect_problems
 from ..obs import Tracer, pass_trail
 from ..perf.counters import PerActorCounters
 from ..runtime.backends import resolve_backend
-from ..runtime.executor import ExecutionResult, _GraphRun, execute
+from ..runtime.executor import ExecutionResult, _GraphRun, _make_tapes, \
+    execute
 from ..schedule.rates import check_balanced
 from ..schedule.steady_state import Schedule, build_schedule
 from ..simd.machine import CORE_I7, MachineDescription, get_target, \
@@ -127,7 +128,9 @@ def _run_checked(graph: StreamGraph, schedule: Schedule,
     checking tape conservation after every steady cycle.
 
     Returns ``(result, tape_violation_or_None)``."""
-    run = _GraphRun(graph, schedule, machine, resolve_backend(backend))
+    be = resolve_backend(backend)
+    run = _GraphRun(graph, schedule, machine, be, _make_tapes(graph, be),
+                    graph.actors)
     run.run_phase(schedule.init)
     init_outputs = run.drain_collector()
     init_counters = run.reset_counters()
@@ -146,7 +149,7 @@ def _run_checked(graph: StreamGraph, schedule: Schedule,
         graph_name=graph.name, iterations=iterations, outputs=outputs,
         init_outputs=init_outputs, init_counters=init_counters,
         steady_counters=run.counters, schedule=schedule,
-        backend=resolve_backend(backend).name)
+        backend=be.name)
     return result, violation
 
 

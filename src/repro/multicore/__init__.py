@@ -24,7 +24,6 @@ from .channels import (
 )
 from .parallel import (
     ParallelExecutionResult,
-    calibrated_pace,
     parallel_execute,
 )
 from .simulate import (
@@ -43,5 +42,5 @@ __all__ = [
     "Channel", "ChannelAborted", "ChannelError", "ChannelStallTimeout",
     "ChannelStats", "plan_capacities", "sequential_max_occupancy",
     "steady_crossings",
-    "ParallelExecutionResult", "calibrated_pace", "parallel_execute",
+    "ParallelExecutionResult", "parallel_execute",
 ]

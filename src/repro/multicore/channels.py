@@ -167,9 +167,11 @@ class Channel:
             raise ValueError(f"{name}: channel capacity must be >= 1")
         self.name = name
         self.capacity = capacity
-        self.stats = ChannelStats(capacity=capacity)
         self.stall_timeout = stall_timeout
         self._tape = Tape(name) if tape is None else tape
+        # A wrapped tape may arrive holding its feedback-delay items.
+        self.stats = ChannelStats(capacity=capacity,
+                                  max_occupancy=len(self._tape))
         self._cond = threading.Condition()
         self._abort = abort
         self._tracer = tracer

@@ -1,24 +1,46 @@
-"""Steady-state execution of flat stream graphs.
+"""Steady-state execution of flat stream graphs: the one run loop.
 
-The executor allocates runtime tapes, initialises actor state, runs the
-init phase (priming peeking filters), then runs ``iterations`` steady-state
-cycles of the schedule (the outer while-loop of Figure 1b).  Filters run
-through the selected execution backend — the tree-walking IR interpreter
-(``backend="interp"``, the default) or the closure compiler
-(``backend="compiled"``, see :mod:`repro.runtime.compiled`) — while
-splitters and joiners (plain and horizontal) are executed natively with
-equivalent event charging.  Both backends produce identical outputs and
-identical performance counters.
+A run is a set of *slices* — disjoint groups of actors, each fired by
+its own :class:`_GraphRun` over one shared tape map.  :func:`_run_slices`
+is the only place a run happens: it sets the slices up (filters through
+the selected backend — ``"interp"``, ``"compiled"``, ``"vector"`` or a
+backend object, see :mod:`repro.runtime.backends`; splitters and joiners
+natively with equivalent event charging), then takes every slice through
+init (priming peeking filters) → drain → fresh counters → ``iterations``
+steady cycles (the outer while-loop of Figure 1b) → drain.  One slice
+runs on the calling thread; several run on one thread each.
 
-Outputs pushed by the terminal actor are collected and returned, which is
-how tests establish that a SIMDized graph computes exactly what the scalar
-graph computes.
+Who does what:
+
+* **Tapes** come from the caller, built by :func:`_make_tapes` (the
+  backend's preferred storage, feedback delays preloaded, each edge
+  optionally wrapped).  :func:`execute` passes plain tapes and a single
+  slice holding every actor; :func:`repro.multicore.parallel
+  .parallel_execute` puts each cut edge's tape behind a bounded channel
+  and passes one slice per core.
+* **Coalescing** — merging all steady cycles into one phase so batch
+  kernels see the maximal firing count — is decided here, from what the
+  loop can observe: a single slice, a backend that asks for it, tape
+  levels that admit it.
+* **Failure** in a threaded slice goes to the caller's ``abort`` object
+  (anything with ``trip(exc)``, ``tripped``, ``exception``), which is
+  how blocked peers get released.  The loop never imports
+  :mod:`repro.multicore` and never names a channel type: flow control is
+  a property of the tapes it is handed.
+
+Every backend produces identical outputs and identical performance
+counters.  Outputs pushed by the terminal actor are collected and
+returned, which is how tests establish that a SIMDized graph computes
+exactly what the scalar graph computes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+import threading
+import time
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Mapping, \
+    NamedTuple, Optional, Tuple, Union
 
 from ..graph.actor import FilterSpec, StateVar
 from ..graph.builtins import (
@@ -125,45 +147,42 @@ def state_initial_value(var: StateVar, simd_width: int) -> Any:
     return var.init
 
 
-class _GraphRun:
-    """All mutable state of one execution.
+def _make_tapes(graph: StreamGraph, backend: Any,
+                wrap: Optional[Callable[[int, Any], Any]] = None
+                ) -> Dict[int, Any]:
+    """One runtime tape per graph edge, in the storage ``backend`` prefers
+    (the vector backend substitutes ndarray-native ``NdTape``), with the
+    edge's feedback-loop delay items preloaded.  ``wrap(tape id, tape)``
+    may put an edge's preloaded tape behind something else with the tape
+    interface — the parallel runtime's bounded channels on cut edges."""
+    tape_cls = getattr(resolve_backend(backend), "tape_class", Tape)
+    tapes: Dict[int, Any] = {}
+    for tid, edge in graph.tapes.items():
+        tape = tape_cls(f"tape{tid}")
+        for item in edge.initial:
+            tape.push(item)
+        tapes[tid] = tape if wrap is None else wrap(tid, tape)
+    return tapes
 
-    By default a run owns every actor and allocates (and preloads) every
-    tape.  The parallel runtime instead passes a *shared* ``tapes`` map —
-    local :class:`Tape` objects plus cross-core
-    :class:`~repro.multicore.channels.Channel` objects, preloaded by the
-    caller — and an ``only_actors`` subset, so each core's run sets up
-    and fires exactly its slice of the partition while reading and
-    writing the shared boundary tapes.
-    """
+
+class _GraphRun:
+    """All mutable state of one slice of an execution: the ``actors`` it
+    sets up and fires, over a ``tapes`` map (see :func:`_make_tapes`) it
+    shares with every other slice of the same run.  A sequential run is
+    the one slice that holds every actor."""
 
     def __init__(self, graph: StreamGraph, schedule: Schedule,
-                 machine: MachineDescription,
-                 backend: Any = "interp",
-                 *,
-                 tapes: Optional[Dict[int, Tape]] = None,
-                 only_actors: Optional[Any] = None) -> None:
+                 machine: MachineDescription, backend: Any,
+                 tapes: Mapping[int, Any], actors: Iterable[int]) -> None:
         backend = resolve_backend(backend)
         self.graph = graph
         self.schedule = schedule
         self.machine = machine
         self.backend = backend
-        #: tape implementation the backend prefers for run-local tapes
-        #: (the vector backend substitutes ndarray-native ``NdTape``).
+        #: tape implementation the backend prefers (used for the collector).
         self.tape_cls = getattr(backend, "tape_class", Tape)
-        if tapes is None:
-            self.tapes: Dict[int, Tape] = {
-                tid: self.tape_cls(f"tape{tid}") for tid in graph.tapes}
-            # Feedback-loop delays: pre-load enqueued items.
-            for tid, edge in graph.tapes.items():
-                for item in edge.initial:
-                    self.tapes[tid].push(item)
-        else:
-            # Shared (possibly cross-core) tapes: the caller preloads.
-            self.tapes = tapes
-        self.local_actors = (frozenset(graph.actors)
-                             if only_actors is None
-                             else frozenset(only_actors))
+        self.tapes = tapes
+        self.local_actors = frozenset(actors)
         self.collector: Optional[Tape] = None
         #: filter actors by id (``Interpreter`` or ``CompiledActor``).
         self.actors: Dict[int, Any] = {}
@@ -433,6 +452,181 @@ def _merged_phase_admissible(run: _GraphRun, phase, iterations: int) -> bool:
     return True
 
 
+class _Phases(NamedTuple):
+    """What one slice's trip through the phase sequence produced."""
+
+    init_outputs: List[Any]
+    init_counters: PerActorCounters
+    outputs: List[Any]
+    steady_counters: PerActorCounters
+
+
+def _run_phases(run: _GraphRun, iterations: int, tracer: Tracer,
+                core: Optional[int] = None) -> _Phases:
+    """Take one slice through init → drain → fresh counters → steady ×
+    ``iterations`` → drain, firing its share of the schedule.  ``core``
+    is ``None`` for the only slice of a run (spans ``runtime.init`` /
+    ``runtime.steady``, steady cycles coalesced when admissible), else
+    the number of one slice among several (spans ``core<N>.*``)."""
+    machine = run.machine
+    label, cat = ("runtime",) * 2 if core is None else (f"core{core}", "core")
+    init, steady = (tuple(entry for entry in phase
+                          if entry[0] in run.local_actors)
+                    for phase in (run.schedule.init, run.schedule.steady))
+    with tracer.span(f"{label}.init", cat=cat) as sp:
+        run.run_phase(init)
+        init_outputs = run.drain_collector()
+        init_counters = run.reset_counters()
+        if tracer.enabled:
+            sp.add(outputs=len(init_outputs),
+                   modeled_cycles=round(init_counters.cycles(machine), 1),
+                   firings=sum(c["fire"] for c in
+                               init_counters.by_actor.values()))
+    with tracer.span(f"{label}.steady", cat=cat,
+                     iterations=iterations) as sp:
+        # The vector backend merges all steady cycles into one phase
+        # when tape levels admit it, so batch kernels see the maximal
+        # firing count (outputs and counters are identical either way).
+        coalesced = bool(core is None and iterations > 1 and run.batch_fns
+                         and getattr(run.backend, "coalesce_iterations",
+                                     False)
+                         and _merged_phase_admissible(run, steady,
+                                                      iterations))
+        if coalesced:
+            run.run_phase(tuple((actor_id, firings * iterations)
+                                for actor_id, firings in steady))
+        else:
+            for _ in range(iterations):
+                run.run_phase(steady)
+        outputs = run.drain_collector()
+        if tracer.enabled:
+            sp.add(outputs=len(outputs), coalesced=coalesced,
+                   modeled_cycles=round(run.counters.cycles(machine), 1),
+                   firings=sum(c["fire"] for c in
+                               run.counters.by_actor.values()))
+    return _Phases(init_outputs, init_counters, outputs, run.counters)
+
+
+def _union(bags: List[PerActorCounters]) -> PerActorCounters:
+    """Union of disjoint per-slice bags (slices never share an actor); a
+    single slice's bag is returned as is."""
+    if len(bags) == 1:
+        return bags[0]
+    merged = PerActorCounters()
+    for counters in bags:
+        for actor_id, bag in counters.by_actor.items():
+            merged.for_actor(actor_id).merge(bag)
+    return merged
+
+
+def _run_slices(graph: StreamGraph, schedule: Schedule,
+                machine: MachineDescription, be: Any,
+                tapes: Mapping[int, Any],
+                slices: Mapping[int, Iterable[int]],
+                iterations: int, tracer: Tracer, abort: Any = None
+                ) -> Tuple[Dict[str, Any], Dict[int, _Phases], float]:
+    """The run loop (see the module docstring).  ``slices`` maps a core
+    number to the actors it fires; ``abort`` is needed only when there
+    is more than one.
+
+    Returns the :class:`ExecutionResult` fields, each slice's
+    :class:`_Phases` by core, and the wall seconds the phases took
+    (set-up excluded)."""
+    cache = getattr(be, "cache", None)
+    with tracer.span("runtime.setup", cat="runtime") as sp:
+        cache_before = cache.stats.snapshot() if cache is not None else None
+        runs = {core: _GraphRun(graph, schedule, machine, be, tapes, actors)
+                for core, actors in slices.items()}
+        kernel_cache: Optional[Dict[str, int]] = None
+        if cache is not None:
+            kernel_cache = cache.stats.delta(cache_before)
+            kernel_cache["size"] = len(cache)
+            sp.add(kernel_cache=dict(kernel_cache))
+        sp.add(actors=len(graph.actors), tapes=len(graph.tapes))
+
+    parts: Dict[int, _Phases] = {}
+    start = time.perf_counter()
+    if len(runs) > 1:
+        def worker(core: int, run: _GraphRun) -> None:
+            try:
+                with tracer.span(f"core{core}", cat="core",
+                                 actors=len(run.local_actors)):
+                    parts[core] = _run_phases(run, iterations, tracer, core)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                # First failure wins; it also unblocks the peers, whose
+                # own aborted waits then trip nothing.
+                abort.trip(exc)
+
+        threads = [threading.Thread(target=worker, args=item,
+                                    name=f"macross-core{item[0]}",
+                                    daemon=True)
+                   for item in sorted(runs.items())]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if abort.tripped:
+            raise abort.exception
+    else:
+        for core, run in runs.items():      # the calling thread is the core
+            parts[core] = _run_phases(run, iterations, tracer)
+    wall = time.perf_counter() - start
+
+    vectorized: Optional[Dict[int, str]] = None
+    if be.name == "vector":
+        vectorized = {}
+        for run in runs.values():
+            statuses = dict(run.vector_status)
+            for actor_id, runner in run.actors.items():
+                status = getattr(runner, "vector_status", None)
+                if status is not None:
+                    statuses[actor_id] = status
+            _annotate_tape_fallbacks(run, statuses)
+            vectorized.update(statuses)
+    parts = dict(sorted(parts.items()))     # workers finish in any order
+    # At most one slice owns the collector: its outputs are the run's.
+    sink = next((parts[core] for core, run in runs.items()
+                 if run.collector is not None), None)
+    fields = dict(
+        graph_name=graph.name,
+        iterations=iterations,
+        outputs=sink.outputs if sink else [],
+        init_outputs=sink.init_outputs if sink else [],
+        init_counters=_union([part.init_counters
+                              for part in parts.values()]),
+        steady_counters=_union([part.steady_counters
+                                for part in parts.values()]),
+        schedule=schedule,
+        backend=be.name,
+        kernel_cache=kernel_cache,
+        vectorized=vectorized,
+        batched_firings=sum(run.batched_firings for run in runs.values()),
+    )
+    if tracer.enabled:
+        # Per-actor attribution as instant events: firing counts and
+        # modeled cycles per actor, so the Chrome trace carries the
+        # hottest-actor breakdown alongside the phase spans.
+        steady = fields["steady_counters"]
+        for actor_id, cycles in steady.cycles_by_actor(machine).items():
+            name = (graph.actors[actor_id].name
+                    if actor_id in graph.actors else f"actor{actor_id}")
+            extra = {}
+            if vectorized is not None and actor_id in vectorized:
+                extra["vectorized"] = vectorized[actor_id]
+            tracer.event(f"actor.{name}", cat="actor",
+                         cycles=round(cycles, 1),
+                         firings=steady.by_actor[actor_id]["fire"], **extra)
+    return fields, parts, wall
+
+
+def _ensure_schedule(graph: StreamGraph, schedule: Optional[Schedule],
+                     tracer: Tracer) -> Schedule:
+    if schedule is not None:
+        return schedule
+    with tracer.span("runtime.schedule", cat="runtime", graph=graph.name):
+        return build_schedule(graph)
+
+
 def execute(graph: StreamGraph,
             schedule: Optional[Schedule] = None,
             *,
@@ -442,36 +636,37 @@ def execute(graph: StreamGraph,
             tracer: Optional[Tracer] = None,
             cores: int = 1,
             partitioner: Union[str, Callable, None] = None,
-            stall_timeout: float = 30.0,
-            pace: Optional[Dict[int, float]] = None) -> ExecutionResult:
+            stall_timeout: float = 30.0) -> ExecutionResult:
     """Run ``iterations`` steady-state cycles of ``graph`` and return
     collected outputs plus performance counters.
 
+    A sequential run is the one-slice case of the run loop: plain tapes,
+    every actor in one slice, fired on the calling thread.
+
     ``backend`` selects the execution engine: ``"interp"`` (tree-walking
-    interpreter, the reference), ``"compiled"`` (cached closure kernels,
-    same outputs and counters, much faster), or a backend object.
+    interpreter, the reference), ``"compiled"`` (cached closure kernels),
+    ``"vector"`` (numpy batch kernels over many firings, needs numpy) or
+    a backend object — same outputs and counters on all of them.
 
     ``tracer`` (optional) records runtime spans — setup (with kernel
-    cache deltas on the compiled backend), the init phase, and the steady
+    cache deltas on a caching backend), the init phase, and the steady
     phase — each with output counts and modeled-cycle attribution.
 
-    ``cores`` > 1 (or an explicit ``partitioner``) routes the run through
-    the thread-based parallel executor; ``partitioner`` may be a callable
-    or a name registered with the planning subsystem (``"lpt"``,
-    ``"contiguous"``, ``"opt"``, …) resolved via
-    :func:`repro.plan.get_partitioner`
-    (:func:`repro.multicore.parallel.parallel_execute`): the graph is
-    partitioned across ``cores`` worker threads, cut tapes become bounded
-    blocking channels, and the returned
+    ``cores`` > 1 (or an explicit ``partitioner``) hands the run to
+    :func:`repro.multicore.parallel.parallel_execute`, the other front
+    door of the same loop: the graph is partitioned across ``cores``
+    worker threads (``partitioner`` is a callable or a name registered
+    with the planning subsystem — ``"lpt"``, ``"contiguous"``, ``"opt"``,
+    … — resolved via :func:`repro.plan.get_partitioner`), cut tapes
+    become bounded blocking channels, and the returned
     :class:`~repro.multicore.parallel.ParallelExecutionResult` carries
     per-core counters and channel statistics on top of the (identical)
     sequential outputs and aggregate counters.  ``stall_timeout``
-    (seconds) and ``pace`` (actor id -> wall seconds per firing) are
-    forwarded to the parallel runtime: a cross-core stall longer than the
-    timeout raises :class:`~repro.multicore.channels.ChannelStallTimeout`
+    (seconds) goes with it: a cross-core stall longer than the timeout
+    raises :class:`~repro.multicore.channels.ChannelStallTimeout`
     carrying the stalled channel's name, side, and occupancy — the
-    serving layer's hang diagnostics.  Both are ignored for sequential
-    runs (``cores=1`` without a partitioner).
+    serving layer's hang diagnostics.  A sequential run has no channel
+    to stall on and ignores it.
     """
     if cores < 1:
         raise StreamRuntimeError(f"cores must be >= 1, got {cores}")
@@ -482,93 +677,19 @@ def execute(graph: StreamGraph,
                                 iterations=iterations, backend=backend,
                                 tracer=tracer, cores=cores,
                                 partitioner=partitioner,
-                                stall_timeout=stall_timeout, pace=pace)
+                                stall_timeout=stall_timeout)
     tracer = ensure_tracer(tracer)
-    if schedule is None:
-        with tracer.span("runtime.schedule", cat="runtime",
-                         graph=graph.name):
-            schedule = build_schedule(graph)
+    schedule = _ensure_schedule(graph, schedule, tracer)
     be = resolve_backend(backend)
-    cache = getattr(be, "cache", None)
     with tracer.span("execute", cat="runtime", graph=graph.name,
                      backend=be.name, machine=machine.name,
                      iterations=iterations) as exec_span:
-        with tracer.span("runtime.setup", cat="runtime") as sp:
-            cache_before = cache.stats.snapshot() if cache is not None \
-                else None
-            run = _GraphRun(graph, schedule, machine, be)
-            kernel_cache: Optional[Dict[str, int]] = None
-            if cache is not None:
-                kernel_cache = cache.stats.delta(cache_before)
-                kernel_cache["size"] = len(cache)
-                sp.add(kernel_cache=dict(kernel_cache))
-            sp.add(actors=len(graph.actors), tapes=len(graph.tapes))
-        with tracer.span("runtime.init", cat="runtime") as sp:
-            run.run_phase(schedule.init)
-            init_outputs = run.drain_collector()
-            init_counters = run.reset_counters()
-            if tracer.enabled:
-                sp.add(outputs=len(init_outputs),
-                       modeled_cycles=round(init_counters.cycles(machine), 1),
-                       firings=sum(c["fire"] for c in
-                                   init_counters.by_actor.values()))
-        with tracer.span("runtime.steady", cat="runtime",
-                         iterations=iterations) as sp:
-            # The vector backend merges all steady cycles into one phase
-            # when tape levels admit it, so batch kernels see the maximal
-            # firing count (outputs and counters are identical either way).
-            coalesced = (iterations > 1 and run.batch_fns
-                         and getattr(be, "coalesce_iterations", False)
-                         and _merged_phase_admissible(
-                             run, schedule.steady, iterations))
-            if coalesced:
-                run.run_phase(tuple((actor_id, firings * iterations)
-                                    for actor_id, firings in schedule.steady))
-            else:
-                for _ in range(iterations):
-                    run.run_phase(schedule.steady)
-            outputs = run.drain_collector()
-            if tracer.enabled:
-                sp.add(outputs=len(outputs), coalesced=bool(coalesced),
-                       modeled_cycles=round(run.counters.cycles(machine), 1),
-                       firings=sum(c["fire"] for c in
-                                   run.counters.by_actor.values()))
-        vectorized: Optional[Dict[int, str]] = None
-        if be.name == "vector":
-            vectorized = dict(run.vector_status)
-            for actor_id, runner in run.actors.items():
-                status = getattr(runner, "vector_status", None)
-                if status is not None:
-                    vectorized[actor_id] = status
-            _annotate_tape_fallbacks(run, vectorized)
-        result = ExecutionResult(
-            graph_name=graph.name,
-            iterations=iterations,
-            outputs=outputs,
-            init_outputs=init_outputs,
-            init_counters=init_counters,
-            steady_counters=run.counters,
-            schedule=schedule,
-            backend=be.name,
-            kernel_cache=kernel_cache,
-            vectorized=vectorized,
-            batched_firings=run.batched_firings,
-        )
+        fields, _, _ = _run_slices(graph, schedule, machine, be,
+                                   _make_tapes(graph, be),
+                                   {0: graph.actors}, iterations, tracer)
+        result = ExecutionResult(**fields)
         if tracer.enabled:
-            exec_span.add(outputs=len(outputs),
+            exec_span.add(outputs=len(result.outputs),
                           modeled_cycles=round(
                               result.steady_cycles(machine), 1))
-            # Per-actor attribution as instant events: firing counts and
-            # modeled cycles per actor, so the Chrome trace carries the
-            # hottest-actor breakdown alongside the phase spans.
-            firings = result.firings_by_actor()
-            for actor_id, cycles in result.actor_cycles(machine).items():
-                name = (graph.actors[actor_id].name
-                        if actor_id in graph.actors else f"actor{actor_id}")
-                extra = {}
-                if vectorized is not None and actor_id in vectorized:
-                    extra["vectorized"] = vectorized[actor_id]
-                tracer.event(f"actor.{name}", cat="actor",
-                             cycles=round(cycles, 1),
-                             firings=firings.get(actor_id, 0), **extra)
     return result

@@ -6,6 +6,7 @@ import pytest
 
 from repro.graph import FilterSpec, Program, StateVar, flatten, pipeline
 from repro.ir import FLOAT, INT, WorkBuilder
+from repro.runtime.backends import InterpreterBackend
 from repro.simd.machine import CORE_I7, CORE_I7_SAGU
 
 
@@ -94,3 +95,23 @@ def linear_program(*specs: FilterSpec, name: str = "test"):
 def outputs_of(graph, iterations: int = 4, machine=CORE_I7):
     from repro.runtime import execute
     return execute(graph, machine=machine, iterations=iterations).outputs
+
+
+class HookedBackend(InterpreterBackend):
+    """The interpreter backend with ``hook(actor id, filter name)`` called
+    before every ``run_work`` — a probe, or a fault injector, at the
+    firing site, through the ``backend=`` object seam ``execute`` and
+    ``parallel_execute`` already have."""
+
+    def __init__(self, hook) -> None:
+        self.hook = hook
+
+    def make_filter_actor(self, runtime, spec, in_edge, out_edge):
+        runner = super().make_filter_actor(runtime, spec, in_edge, out_edge)
+        run_work, hook = runner.run_work, self.hook
+
+        def hooked_run_work(body) -> None:
+            hook(runtime.actor_id, spec.name)
+            run_work(body)
+        runner.run_work = hooked_run_work
+        return runner

@@ -199,7 +199,7 @@ class TestExecuteFrontDoor:
 
 
 # ---------------------------------------------------------------------------
-# Tracing and pacing.
+# Tracing.
 
 
 class TestObservability:
@@ -215,25 +215,3 @@ class TestObservability:
         channel_events = [e for e in tracer.events if e.cat == "channel"]
         assert any(e.name.startswith("channel.tape")
                    for e in channel_events)
-
-    def test_pace_smoke(self):
-        """A paced run still matches sequential outputs and takes at
-        least the owed wall time."""
-        g = _pipeline_graph()
-        seq = execute(g, machine=CORE_I7, iterations=2)
-        pace = {aid: 0.001 for aid in g.actors}
-        par = parallel_execute(g, machine=CORE_I7, iterations=2, cores=2,
-                               pace=pace)
-        assert par.outputs == seq.outputs
-        assert par.wall_time_s > 0
-
-    def test_calibrated_pace_proportional_to_cycles(self):
-        from repro.multicore import calibrated_pace
-        g = _pipeline_graph()
-        pace = calibrated_pace(g, CORE_I7, seconds_per_cycle=1e-6)
-        assert pace, "calibrated pace must cover the firing actors"
-        assert all(cost > 0 for cost in pace.values())
-        # Doubling the scale doubles every per-firing cost.
-        double = calibrated_pace(g, CORE_I7, seconds_per_cycle=2e-6)
-        for aid, cost in pace.items():
-            assert double[aid] == pytest.approx(2 * cost)

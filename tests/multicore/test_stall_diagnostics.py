@@ -4,6 +4,8 @@ stalled, on *which* side, at what occupancy."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.multicore.channels import Channel, ChannelStallTimeout
@@ -11,7 +13,8 @@ from repro.multicore.parallel import parallel_execute
 from repro.runtime import execute
 from repro.simd.machine import CORE_I7
 
-from ..conftest import linear_program, make_ramp_source, make_scaler
+from ..conftest import HookedBackend, linear_program, make_ramp_source, \
+    make_scaler
 
 
 class TestChannelLevel:
@@ -41,24 +44,33 @@ class TestChannelLevel:
         assert exc.needed == 1
 
 
+def _sleepy_backend(slow: str, delay_s: float) -> HookedBackend:
+    """Fault injector: the filter named ``slow`` sleeps ``delay_s``
+    before every firing."""
+    def hook(actor_id, name):
+        if name == slow:
+            time.sleep(delay_s)
+    return HookedBackend(hook)
+
+
 class TestRuntimeLevel:
     def _stalling_graph(self):
         return linear_program(make_ramp_source(4),
                               make_scaler(name="slow", pop=4))
 
     def test_parallel_run_surfaces_stalled_channel(self):
-        """A consumer paced far beyond the stall timeout deadlocks the
+        """A consumer slowed far beyond the stall timeout deadlocks the
         producer's bounded channel; the structured exception reaches the
         caller with the channel identity intact."""
         graph = self._stalling_graph()
         actor_ids = sorted(graph.actors)
         partition = {actor_ids[0]: 0}
         partition.update({aid: 1 for aid in actor_ids[1:]})
-        slow = {aid: 0.5 for aid in actor_ids[1:]}
         with pytest.raises(ChannelStallTimeout) as info:
             parallel_execute(graph, machine=CORE_I7, iterations=32,
                              cores=2, partition=partition,
-                             stall_timeout=0.05, pace=slow)
+                             stall_timeout=0.05,
+                             backend=_sleepy_backend("slow", 0.5))
         exc = info.value
         assert exc.side in ("push", "pop")
         assert exc.channel.startswith("tape")
@@ -67,10 +79,9 @@ class TestRuntimeLevel:
 
     def test_execute_forwards_stall_timeout(self):
         """The ``execute(..., cores=N)`` front door forwards the timeout
-        and pace knobs to the parallel runtime."""
+        to the parallel runtime."""
         graph = self._stalling_graph()
         actor_ids = sorted(graph.actors)
-        slow = {aid: 0.5 for aid in actor_ids[1:]}
 
         def split(graph_, costs, cores):
             mapping = {actor_ids[0]: 0}
@@ -79,7 +90,8 @@ class TestRuntimeLevel:
 
         with pytest.raises(ChannelStallTimeout):
             execute(graph, machine=CORE_I7, iterations=32, cores=2,
-                    partitioner=split, stall_timeout=0.05, pace=slow)
+                    partitioner=split, stall_timeout=0.05,
+                    backend=_sleepy_backend("slow", 0.5))
 
     def test_generous_timeout_does_not_fire(self):
         graph = self._stalling_graph()

@@ -23,7 +23,7 @@ from repro.graph.builtins import (
     roundrobin_splitter,
 )
 from repro.ir import WorkBuilder
-from repro.runtime.executor import _GraphRun
+from repro.runtime.executor import _GraphRun, _make_tapes
 from repro.runtime.tape import HAVE_NUMPY, NdTape, Tape
 from repro.schedule import Schedule
 from repro.simd.machine import CORE_I7, CORE_I7_SAGU
@@ -33,7 +33,8 @@ from ..conftest import make_ramp_source, make_scaler
 
 def _run_for(graph):
     reps = {aid: 1 for aid in graph.actors}
-    return _GraphRun(graph, Schedule((), tuple(), reps), CORE_I7)
+    return _GraphRun(graph, Schedule((), tuple(), reps), CORE_I7, "interp",
+                     _make_tapes(graph, "interp"), graph.actors)
 
 
 class TestRoundRobinMovers:
@@ -212,7 +213,7 @@ def _typed(item):
 def _mover_run(graph, mover, machine, backend, tape_cls, inputs):
     tapes = {tid: tape_cls(f"tape{tid}") for tid in graph.tapes}
     run = _GraphRun(graph, Schedule((), (), {a: 1 for a in graph.actors}),
-                    machine, backend, tapes=tapes, only_actors=[mover.id])
+                    machine, backend, tapes, [mover.id])
     for edge in graph.in_tapes(mover.id):
         for item in inputs[edge.dst_port]:
             tapes[edge.id].push(list(item) if isinstance(item, list)

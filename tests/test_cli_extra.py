@@ -34,6 +34,23 @@ class TestCompileVariants:
         out = capsys.readouterr().out
         assert "x)" in out and "cycles/output" in out
 
+    @pytest.mark.parametrize("app", ["FMRadio", "FilterBank"])
+    def test_run_exit_code_follows_output_parity(self, app, capsys,
+                                                 monkeypatch):
+        """``run`` must fail on a wrong answer: with the mover lane map
+        rotated the SIMDized outputs diverge and the exit code says so."""
+        import repro.runtime.movers as movers_mod
+        argv = ["run", app, "--backend", "compiled", "--iterations", "2"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "outputs identical" in captured.out
+        assert captured.err == ""
+        monkeypatch.setattr(movers_mod, "_MUT_MOVER_SHIFT", 1)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "outputs identical" in captured.out
+        assert "diverge" in captured.err
+
 
 class TestFigureCommands:
     def test_fig12_subset(self, capsys):
