@@ -18,16 +18,21 @@ def register(name: str):
 
 
 def get_benchmark(name: str) -> Program:
-    factory = BENCHMARKS.get(name)
-    if factory is None:
-        # Case-insensitive fallback so e.g. ``macross run fmradio`` works.
-        matches = [key for key in BENCHMARKS if key.lower() == name.lower()]
-        if len(matches) == 1:
-            factory = BENCHMARKS[matches[0]]
-    if factory is None:
-        raise KeyError(
-            f"unknown benchmark {name!r}; available: {sorted(BENCHMARKS)}")
-    return factory()
+    return BENCHMARKS[_registered_name(name)]()
+
+
+def _registered_name(name: str) -> str:
+    """The registry key ``name`` refers to; ``KeyError`` if none.  A pure
+    lookup (no program is built), so callers can resolve names before
+    doing any work."""
+    if name in BENCHMARKS:
+        return name
+    # Case-insensitive fallback so e.g. ``macross run fmradio`` works.
+    matches = [key for key in BENCHMARKS if key.lower() == name.lower()]
+    if len(matches) == 1:
+        return matches[0]
+    raise KeyError(
+        f"unknown benchmark {name!r}; available: {sorted(BENCHMARKS)}")
 
 
 def _populate() -> None:

@@ -5,9 +5,9 @@ ramp source, one data-parallel work filter doing the idiom arithmetic
 over ``BLOCK`` elements per firing, and a passthrough tail that keeps
 every computed element in the collected output stream.  Every actor is
 stateless or affine-stateful, so the whole pipeline rides the vector
-backend's array fast path — these graphs are the bandwidth ceiling of
-the roofline benchmark (``benchmarks/test_roofline.py``), with the paper
-apps plotted against them.
+backend's array fast path — these graphs are the ``steady_stream``
+workload of ``bench/``, whose roof fractions measure the vector backend
+against a bare-numpy bandwidth ceiling.
 
 ``add`` and ``triad`` read two logical streams interleaved on one tape
 (x0 y0 x1 y1 ...), which is the stream-graph shape of STREAM's two-array

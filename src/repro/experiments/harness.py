@@ -132,12 +132,5 @@ def resolve_benchmarks(names: Optional[Sequence[str]] = None) -> List[str]:
     return list(DEFAULT_BENCHMARKS)
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values)) if values else 0.0
-
-
 def arithmetic_mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0

@@ -17,8 +17,8 @@ Capacity planning lives in :mod:`repro.plan.capacity` (the planning
 subsystem prices a candidate partition's buffer memory with the same
 planner the runtime allocates from).  Short version: each
 cut tape is granted its sequential maximum occupancy (liveness, see the
-deadlock-freedom argument there) plus ``slack_iterations`` steady
-iterations of double-buffer headroom.
+deadlock-freedom argument there) plus one steady iteration of
+double-buffer headroom.
 
 Every :class:`Channel` keeps :class:`ChannelStats` (pushes, pops, stall
 counts, high-water mark) and, when given a live tracer, emits a

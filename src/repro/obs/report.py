@@ -94,13 +94,11 @@ def kernel_cache_summary(stats: Optional[Mapping[str, int]]) -> str:
     if not stats:
         return "kernel cache: n/a (interp backend)"
     return ("kernel cache: {lookups} lookups, {hits} hits, "
-            "{misses} misses ({compiled} compiled), {evictions} evicted, "
-            "{size} resident".format(
+            "{misses} misses ({compiled} compiled), {size} resident".format(
                 lookups=stats.get("lookups", 0),
                 hits=stats.get("hits", 0),
                 misses=stats.get("misses", stats.get("compiled", 0)),
                 compiled=stats.get("compiled", 0),
-                evictions=stats.get("evictions", 0),
                 size=stats.get("size", 0)))
 
 

@@ -10,7 +10,7 @@ The tracer records two kinds of entries:
   containment the Chrome ``trace_event`` viewer expects of complete
   (``"X"``) events.
 * **instants** — point-in-time events recorded with :meth:`Tracer.event`
-  (divergences, cache evictions, findings).
+  (divergences, channel stalls, findings).
 
 Design constraints (this module is on the hot path of every compile and
 every execution):

@@ -10,9 +10,9 @@ here sizes every channel from the schedule itself:
   state returns every tape to its post-init level (SDF's defining
   invariant), this is the maximum over the whole run.
 * :func:`plan_capacities` grants each cut tape that sequential maximum
-  **plus** ``slack_iterations`` extra steady iterations' worth of items
-  (``slack_iterations=1`` is classic double buffering: the producing core
-  may run one full iteration ahead before it stalls).
+  **plus** one extra steady iteration's worth of items (classic double
+  buffering: the producing core may run one full iteration ahead before
+  it stalls).
 
 With capacity >= the sequential maximum the parallel execution is
 deadlock-free for any per-core interleaving that preserves each core's
@@ -73,15 +73,13 @@ def sequential_max_occupancy(graph: StreamGraph,
 
 
 def plan_capacities(graph: StreamGraph, schedule: Schedule,
-                    cut_tapes: Iterable[int], *,
-                    slack_iterations: int = 1) -> Dict[int, int]:
+                    cut_tapes: Iterable[int]) -> Dict[int, int]:
     """Deadlock-free capacity for every cut tape.
 
     ``sequential max occupancy`` guarantees liveness (see the module
-    docstring); ``slack_iterations`` extra steady iterations of headroom
-    let the producing core run ahead — ``1`` is double buffering.
+    docstring); one extra steady iteration of headroom lets the producing
+    core run ahead (double buffering).
     """
     high = sequential_max_occupancy(graph, schedule)
     crossing = steady_crossings(graph, schedule)
-    return {tid: max(1, high[tid]) + slack_iterations * crossing[tid]
-            for tid in cut_tapes}
+    return {tid: max(1, high[tid]) + crossing[tid] for tid in cut_tapes}

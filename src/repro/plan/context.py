@@ -65,12 +65,10 @@ class PlanContext:
     #: tape id -> items crossing per steady iteration.
     traffic: Dict[int, int]
     #: tape id -> deadlock-free channel capacity (items) if the tape is
-    #: cut (sequential max occupancy + ``slack_iterations`` headroom).
+    #: cut (sequential max occupancy + one steady iteration of headroom).
     capacities: Dict[int, int]
     #: cycles to move one element across cores on this target.
     comm_price: float
-    #: double-buffer headroom baked into ``capacities``.
-    slack_iterations: int = 1
 
     @property
     def total_work(self) -> float:
@@ -88,8 +86,7 @@ def build_plan_context(graph: StreamGraph,
                        *,
                        schedule: Optional[Schedule] = None,
                        costs: Optional[Dict[int, float]] = None,
-                       iterations: int = 2,
-                       slack_iterations: int = 1) -> PlanContext:
+                       iterations: int = 2) -> PlanContext:
     """Profile ``graph`` on ``target`` and assemble a :class:`PlanContext`.
 
     ``target`` may be a registered name (``"i7"``, ``"gpu-like"``, …), a
@@ -112,8 +109,6 @@ def build_plan_context(graph: StreamGraph,
         machine=machine,
         costs=dict(costs),
         traffic=steady_crossings(graph, schedule),
-        capacities=plan_capacities(graph, schedule, graph.tapes,
-                                   slack_iterations=slack_iterations),
+        capacities=plan_capacities(graph, schedule, graph.tapes),
         comm_price=comm_price,
-        slack_iterations=slack_iterations,
     )

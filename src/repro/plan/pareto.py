@@ -26,6 +26,9 @@ from .partitioners import Partition
 
 __all__ = ["ParetoPoint", "pareto_front"]
 
+#: Branch-and-bound node budget of every optimizer run in one sweep.
+_NODE_BUDGET = 100_000
+
 
 @dataclass(frozen=True)
 class ParetoPoint:
@@ -36,17 +39,9 @@ class ParetoPoint:
     partition: Partition
     evaluation: PlanEvaluation
 
-    def as_dict(self) -> dict:
-        return {"makespan": round(self.makespan, 3),
-                "memory_items": self.memory_items,
-                "cut_tapes": len(self.evaluation.cut_tapes),
-                "cores_used": len({c for c in
-                                   self.partition.assignment.values()})}
-
 
 def pareto_front(ctx: PlanContext, cores: int, *,
-                 points: int = 8,
-                 node_budget: int = 100_000) -> List[ParetoPoint]:
+                 points: int = 8) -> List[ParetoPoint]:
     """Sweep the memory-vs-makespan trade-off for ``cores`` workers.
 
     Returns the non-dominated points sorted by increasing makespan
@@ -59,7 +54,7 @@ def pareto_front(ctx: PlanContext, cores: int, *,
             f"pareto sweep needs >= 0 interior points, got {points}",
             bound=float(points))
     fastest = optimize_partition(ctx, cores, objective="makespan",
-                                 node_budget=node_budget)
+                                 node_budget=_NODE_BUDGET)
     serial = Partition({aid: 0 for aid in ctx.graph.actors}, cores)
     serial_eval = evaluate_partition(ctx, serial)
 
@@ -76,7 +71,7 @@ def pareto_front(ctx: PlanContext, cores: int, *,
             try:
                 plan = optimize_partition(ctx, cores, objective="memory",
                                           makespan_bound=bound,
-                                          node_budget=node_budget)
+                                          node_budget=_NODE_BUDGET)
             except InfeasiblePlanError:  # pragma: no cover - bound >= low
                 continue
             candidates.append((plan.partition, plan.evaluation))

@@ -131,8 +131,7 @@ _PARTITIONER_ALIASES: Dict[str, str] = {}
 
 
 def register_partitioner(name: str, factory: PartitionerFactory, *,
-                         aliases: Sequence[str] = (),
-                         overwrite: bool = False) -> None:
+                         aliases: Sequence[str] = ()) -> None:
     """Register a partitioner factory under ``name`` (+ aliases).
 
     Validation happens before any mutation, so a name/alias collision
@@ -140,18 +139,17 @@ def register_partitioner(name: str, factory: PartitionerFactory, *,
     """
     key = name.lower()
     akeys = [alias.lower() for alias in aliases]
-    if not overwrite:
-        if key in _PARTITIONERS or key in _PARTITIONER_ALIASES:
-            raise ValueError(f"partitioner {name!r} is already registered")
-        for alias, akey in zip(aliases, akeys):
-            if _PARTITIONER_ALIASES.get(akey, key) != key:
-                raise ValueError(
-                    f"partitioner alias {alias!r} is already bound to "
-                    f"{_PARTITIONER_ALIASES[akey]!r}")
-            if akey in _PARTITIONERS and akey != key:
-                raise ValueError(
-                    f"partitioner alias {alias!r} collides with registered "
-                    f"partitioner {akey!r}")
+    if key in _PARTITIONERS or key in _PARTITIONER_ALIASES:
+        raise ValueError(f"partitioner {name!r} is already registered")
+    for alias, akey in zip(aliases, akeys):
+        if _PARTITIONER_ALIASES.get(akey, key) != key:
+            raise ValueError(
+                f"partitioner alias {alias!r} is already bound to "
+                f"{_PARTITIONER_ALIASES[akey]!r}")
+        if akey in _PARTITIONERS and akey != key:
+            raise ValueError(
+                f"partitioner alias {alias!r} collides with registered "
+                f"partitioner {akey!r}")
     _PARTITIONERS[key] = factory
     for akey in akeys:
         _PARTITIONER_ALIASES[akey] = key

@@ -9,7 +9,7 @@ body from :mod:`.canon` — crossed with the :class:`~.compiler.Specialization`
 closures and static counter deltas are only valid under the specialisation
 they were compiled for.
 
-``CacheStats`` exposes lookup/hit/miss/eviction counts so tests can
+``CacheStats`` exposes lookup/hit/miss counts so tests can
 assert that structhash-equal actors really do share one kernel, and so
 ``macross run/profile/trace --backend compiled`` can surface cache
 behaviour per execution (see
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from ...ir import stmt as S
 from .compiler import Kernel, Specialization, compile_kernel
@@ -32,7 +32,6 @@ class CacheStats:
 
     lookups: int = 0
     hits: int = 0
-    evictions: int = 0
 
     @property
     def compiled(self) -> int:
@@ -47,8 +46,7 @@ class CacheStats:
     def snapshot(self) -> Dict[str, int]:
         """Immutable copy of the counters (for before/after deltas)."""
         return {"lookups": self.lookups, "hits": self.hits,
-                "misses": self.misses, "compiled": self.compiled,
-                "evictions": self.evictions}
+                "misses": self.misses, "compiled": self.compiled}
 
     def delta(self, before: Mapping[str, int]) -> Dict[str, int]:
         """Counter changes since a previous :meth:`snapshot`."""
@@ -59,22 +57,15 @@ class CacheStats:
 class KernelCache:
     """Maps ``(canonical body, specialisation)`` to a compiled kernel.
 
-    ``max_kernels`` optionally bounds residency: when set, inserting
-    beyond the bound evicts the least-recently-*inserted* kernel (FIFO —
-    kernels are cheap to recompile and the working set of a single graph
-    is small, so anything fancier is not worth the bookkeeping).  The
-    default is unbounded, which is correct for every in-tree workload;
-    the bound exists for long-running fuzz campaigns and services.
+    Unbounded: a kernel is keyed by content, so residency grows with the
+    number of distinct actor bodies a process has seen, never per run.
     """
 
-    def __init__(self, max_kernels: Optional[int] = None) -> None:
-        if max_kernels is not None and max_kernels < 1:
-            raise ValueError("max_kernels must be >= 1 (or None)")
+    def __init__(self) -> None:
         self._kernels: Dict[Tuple[S.Body, Specialization], Kernel] = {}
-        self.max_kernels = max_kernels
         self.stats = CacheStats()
         # The parallel runtime sets up per-core actors concurrently, so
-        # lookup/compile/evict must be atomic.  Setup-time only (kernels
+        # lookup/compile/insert must be atomic.  Setup-time only (kernels
         # are looked up once per actor, never per firing), so the lock is
         # off every hot path.
         self._lock = threading.Lock()
@@ -95,12 +86,6 @@ class KernelCache:
             kernel = self._kernels.get(key)
             if kernel is None:
                 kernel = compile_kernel(canon_body, spec)
-                if self.max_kernels is not None and \
-                        len(self._kernels) >= self.max_kernels:
-                    # FIFO eviction: dicts preserve insertion order.
-                    oldest = next(iter(self._kernels))
-                    del self._kernels[oldest]
-                    self.stats.evictions += 1
                 self._kernels[key] = kernel
             else:
                 self.stats.hits += 1

@@ -81,8 +81,8 @@ class ExecutionResult:
     backend: str = "interp"
     #: kernel-cache counter deltas for this execution (compiled backend
     #: only; ``None`` for backends without a kernel cache) — keys:
-    #: ``lookups``, ``hits``, ``misses``, ``compiled``, ``evictions``,
-    #: ``size`` (kernels resident after the run).
+    #: ``lookups``, ``hits``, ``misses``, ``compiled``, ``size`` (kernels
+    #: resident after the run).
     kernel_cache: Optional[Dict[str, int]] = None
     #: vector backend only: per-actor vectorization decision — ``"vector"``
     #: (batch array kernel), ``"vector:scan"`` (batch kernel whose state

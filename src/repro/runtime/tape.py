@@ -17,8 +17,8 @@ the tape is agnostic.
 the same repertoire and the same observable behaviour (values, lengths,
 error types *and* messages — pinned by the differential property suite),
 but backed by a dtype-tracked int64/float64 ndarray with zero-copy window
-views (``peek_block_array``) and array commits (``write_strided_array``),
-so batch kernels never round-trip Python lists.  Payloads the array cannot
+views (``peek_block_array``) and ndarray commits (``write_strided``), so
+batch kernels never round-trip Python lists.  Payloads the array cannot
 represent (vectors, bools, ints beyond the exact range) degrade the tape
 to the inherited list representation, permanently and safely.
 
@@ -271,7 +271,7 @@ class NdTape(Tape):
       (``_arr``), so the vector backend's batch kernels read input
       windows as **zero-copy views** (:meth:`peek_block_array`) and
       commit output columns as **array slice assignments**
-      (:meth:`write_strided_array`) with no per-batch
+      (:meth:`write_strided` of an ndarray) with no per-batch
       ``asarray``/``tolist``;
     * the dtype is adopted from the first value written (int64 for
       ``int``, float64 for ``float``) and promoted int64→float64 when
@@ -552,10 +552,6 @@ class NdTape(Tape):
             except (OverflowError, ValueError):  # nothing was assigned yet
                 self._degrade("int beyond int64 range")
         Tape._stage_column(self, offset, stride, values)
-
-    #: :meth:`write_strided` from a 1-d int64/float64 ndarray — the vector
-    #: backend's zero-conversion batched commit.
-    write_strided_array = Tape.write_strided
 
     # -- reading ---------------------------------------------------------------
     def pop(self) -> Any:

@@ -27,7 +27,6 @@ whether the batched path actually ran; the executor aggregates that into
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Callable, Optional
 
 from ...graph.actor import FilterSpec
@@ -52,8 +51,7 @@ class VectorActor(CompiledActor):
     actor instance.  ``vector_status`` records the decision.
     """
 
-    __slots__ = ("vector_status", "_batch_kernel", "_spec", "_in_vector",
-                 "_backend")
+    __slots__ = ("vector_status", "_batch_kernel", "_spec", "_in_vector")
 
     def __init__(self, runtime: ActorRuntime, *args: Any) -> None:
         super().__init__(runtime, *args)
@@ -61,13 +59,10 @@ class VectorActor(CompiledActor):
         self._batch_kernel: Optional[BatchKernel] = None
         self._spec: Optional[FilterSpec] = None
         self._in_vector = False
-        self._backend: Optional["VectorBackend"] = None
 
-    def configure_vector(self, spec: FilterSpec, in_vector: bool,
-                         backend: "VectorBackend") -> None:
+    def configure_vector(self, spec: FilterSpec, in_vector: bool) -> None:
         self._spec = spec
         self._in_vector = in_vector
-        self._backend = backend
         if not spec.init_body:
             # No init body means the executor never calls run_init: the
             # state is already final, build now.
@@ -89,9 +84,6 @@ class VectorActor(CompiledActor):
         except Unvectorizable as exc:
             self._batch_kernel = None
             self.vector_status = f"fallback: {exc}"
-        if self._backend is not None:
-            key = "vector" if self._batch_kernel is not None else "fallback"
-            self._backend.vector_stats[key] += 1
 
     def run_work_batch(self, n: int) -> bool:
         """Fire ``n`` times: one array batch when possible, else ``n``
@@ -126,16 +118,13 @@ class VectorBackend(CompiledBackend):
                 "backend 'vector' requires numpy (install the [vector] "
                 "extra: pip install .[vector])")
         super().__init__(cache)
-        #: counts of per-actor vectorization decisions ("vector" /
-        #: "fallback") across every graph set up through this backend.
-        self.vector_stats: Counter = Counter()
 
     def make_filter_actor(self, runtime: ActorRuntime, spec: FilterSpec,
                           in_edge: Optional[TapeEdge],
                           out_edge: Optional[TapeEdge]) -> VectorActor:
         actor = super().make_filter_actor(runtime, spec, in_edge, out_edge)
         in_vector = bool(in_edge is not None and in_edge.is_vector)
-        actor.configure_vector(spec, in_vector, self)
+        actor.configure_vector(spec, in_vector)
         return actor
 
     def make_batch_mover(self, run: Any, actor: Any,

@@ -35,7 +35,7 @@ exponential back-off as a *deadline* the same wait honours, so two
 lanes dying together restart together.  Once the lane is back its
 in-flight sessions are re-dispatched **at most once** (results carry a
 ``retried`` flag; a twice-stranded session, or one with no lane left
-because ``max_restarts`` is spent, resolves to a typed
+because the lane's ``_MAX_RESTARTS`` restarts are spent, resolves to a typed
 :class:`~repro.serve.session.WorkerDied` result instead).
 Restart/requeue counts land in the per-lane blame table, so churn is
 observable, not silent.
@@ -93,6 +93,10 @@ _START_TIMEOUT_S = 120.0
 #: lane has already had, capped at ``_BACKOFF_CAP_S``.
 _RESTART_BACKOFF_S = 0.05
 _BACKOFF_CAP_S = 2.0
+
+#: Restarts a lane gets before its stranded sessions fail as
+#: ``WorkerDied`` and the lane stays down.
+_MAX_RESTARTS = 3
 
 
 def _backoff_s(restarts: int) -> float:
@@ -208,12 +212,9 @@ class ServePool:
                  policy: Union[str, PlacementPolicy] = "round-robin",
                  backend: str = "compiled",
                  max_queue_depth: int = 8,
-                 max_kernels: Optional[int] = None,
-                 max_graphs: Optional[int] = None,
                  wire_transport: str = "shm",
                  shm_threshold: Optional[int] = None,
                  store_dir: Optional[str] = None,
-                 max_restarts: int = 3,
                  tracer: Optional[Tracer] = None) -> None:
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
@@ -224,9 +225,6 @@ class ServePool:
             raise ServeError(
                 f"wire_transport must be one of {WIRE_TRANSPORTS}, "
                 f"got {wire_transport!r}")
-        if max_restarts < 0:
-            raise ServeError(
-                f"max_restarts must be >= 0, got {max_restarts}")
         self.workers = workers
         self.backend = backend
         self.max_queue_depth = max_queue_depth
@@ -240,11 +238,8 @@ class ServePool:
             env_dir = default_store_dir()
             store_dir = str(env_dir) if env_dir is not None else None
         self.store_dir = store_dir
-        self.max_restarts = max_restarts
         self.uid = uuid.uuid4().hex[:8]
         self.registry = SegmentRegistry()
-        self._max_kernels = max_kernels
-        self._max_graphs = max_graphs
         self._lock = threading.Lock()
         #: notified whenever ``_pending`` shrinks; ``drain`` waits on it.
         self._settled = threading.Condition(self._lock)
@@ -288,10 +283,8 @@ class ServePool:
         reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(wid, requests, writer, self.backend,
-                  self._max_kernels, self._max_graphs,
-                  self.wire_transport, self.shm_threshold, self.uid,
-                  self.store_dir),
+            args=(wid, requests, writer, self.backend, self.wire_transport,
+                  self.shm_threshold, self.uid, self.store_dir),
             name=f"macross-serve-w{wid}", daemon=True)
         proc.start()
         # The worker holds the only write end from here on.  With a copy
@@ -495,7 +488,7 @@ class ServePool:
         # deterministic names.
         for seq in stranded:
             self.registry.scavenge(seq)
-        if restarts < self.max_restarts:
+        if restarts < _MAX_RESTARTS:
             self._restart_at[wid] = time.monotonic() + _backoff_s(restarts)
         else:
             self._requeue_stranded(wid, proc.exitcode)

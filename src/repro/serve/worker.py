@@ -70,13 +70,13 @@ class WorkerEnv:
 
     ``backend="compiled"`` builds a private
     :class:`~repro.runtime.compiled.CompiledBackend` whose kernel cache
-    (optionally bounded by ``max_kernels``) lives as long as the worker;
-    ``backend="vector"`` builds a private
+    lives as long as the worker; ``backend="vector"`` builds a private
     :class:`~repro.runtime.vector.VectorBackend` the same way (numpy
-    batch kernels with per-actor fallback, same bounded kernel cache);
+    batch kernels with per-actor fallback, same kernel cache);
     ``backend="interp"`` serves through the reference interpreter (no
-    kernel cache, still graph-cached).  ``max_graphs`` bounds the graph
-    cache the same FIFO way the kernel cache is bounded.
+    kernel cache, still graph-cached).  Both caches are keyed by content
+    and unbounded: they grow with the distinct session shapes a worker
+    has served, never per session.
 
     ``store`` (a :class:`~repro.serve.store.KernelStore`, a directory
     path, or ``None``) plugs in the per-machine on-disk artifact store:
@@ -86,24 +86,17 @@ class WorkerEnv:
     """
 
     def __init__(self, backend: str = "compiled", *,
-                 max_kernels: Optional[int] = None,
-                 max_graphs: Optional[int] = None,
                  store: Any = None) -> None:
-        if max_graphs is not None and max_graphs < 1:
-            raise ValueError("max_graphs must be >= 1 (or None)")
         self.backend_name = backend
         if backend == "compiled":
             from ..runtime.compiled import CompiledBackend
-            from ..runtime.compiled.cache import KernelCache
-            self.backend: Any = CompiledBackend(KernelCache(max_kernels))
+            self.backend: Any = CompiledBackend()
         elif backend == "vector":
-            from ..runtime.compiled.cache import KernelCache
             from ..runtime.vector import VectorBackend
-            self.backend = VectorBackend(KernelCache(max_kernels))
+            self.backend = VectorBackend()
         else:
             from ..runtime.backends import resolve_backend
             self.backend = resolve_backend(backend)
-        self.max_graphs = max_graphs
         if store is not None and not hasattr(store, "load"):
             from .store import KernelStore
             store = KernelStore(store)
@@ -147,10 +140,6 @@ class WorkerEnv:
                 self.store.store(key, graph, schedule)
         if self.store is not None:
             self.stats.store = self.store.stats.snapshot()
-        if self.max_graphs is not None and \
-                len(self._graphs) >= self.max_graphs:
-            # FIFO eviction, mirroring the kernel cache's policy.
-            del self._graphs[next(iter(self._graphs))]
         entry = _CachedGraph(graph, schedule)
         self._graphs[key] = entry
         self.stats.graph_cache_misses += 1
@@ -201,9 +190,7 @@ class WorkerEnv:
 
 
 def worker_main(worker_id: int, request_queue: Any, results: Any,
-                backend: str, max_kernels: Optional[int],
-                max_graphs: Optional[int],
-                wire_transport: str = "queue",
+                backend: str, wire_transport: str = "queue",
                 shm_threshold: int = 0,
                 pool_uid: str = "",
                 store_dir: Optional[str] = None) -> None:
@@ -221,8 +208,7 @@ def worker_main(worker_id: int, request_queue: Any, results: Any,
     on-disk artifact store.
     """
     try:
-        env = WorkerEnv(backend, max_kernels=max_kernels,
-                        max_graphs=max_graphs, store=store_dir)
+        env = WorkerEnv(backend, store=store_dir)
     except Exception:  # pragma: no cover - only on broken installs
         results.send((MSG_BYE, worker_id,
                       {"error": traceback.format_exc()}))

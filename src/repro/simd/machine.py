@@ -216,32 +216,30 @@ _TARGET_ALIASES: Dict[str, str] = {}
 
 def register_target(machine: MachineDescription,
                     *,
-                    aliases: Sequence[str] = (),
-                    overwrite: bool = False) -> MachineDescription:
+                    aliases: Sequence[str] = ()) -> MachineDescription:
     """Register ``machine`` under its (case-insensitive) name + aliases.
 
     Returns the machine so registration can wrap the constructor::
 
         MY_TARGET = register_target(MachineDescription(...), aliases=("mt",))
 
-    Raises :class:`ValueError` on name/alias collisions unless
-    ``overwrite`` is set.
+    Raises :class:`ValueError` on name/alias collisions.
     """
     key = machine.name.lower()
-    if not overwrite and key in _TARGETS:
+    if key in _TARGETS:
         raise ValueError(f"target {machine.name!r} is already registered")
-    if not overwrite and key in _TARGET_ALIASES:
+    if key in _TARGET_ALIASES:
         raise ValueError(
             f"target name {machine.name!r} collides with an alias of "
             f"{_TARGET_ALIASES[key]!r}")
     _TARGETS[key] = machine
     for alias in aliases:
         akey = alias.lower()
-        if not overwrite and _TARGET_ALIASES.get(akey, key) != key:
+        if _TARGET_ALIASES.get(akey, key) != key:
             raise ValueError(
                 f"alias {alias!r} is already bound to "
                 f"{_TARGET_ALIASES[akey]!r}")
-        if not overwrite and akey in _TARGETS and akey != key:
+        if akey in _TARGETS and akey != key:
             raise ValueError(
                 f"alias {alias!r} collides with registered target "
                 f"{_TARGETS[akey].name!r}")

@@ -6,7 +6,6 @@ from repro.experiments.harness import (
     DEFAULT_BENCHMARKS,
     Variants,
     arithmetic_mean,
-    geometric_mean,
     resolve_benchmarks,
 )
 from repro.experiments.tables import format_table
@@ -33,10 +32,6 @@ class TestMeans:
     def test_arithmetic(self):
         assert arithmetic_mean([1.0, 2.0, 3.0]) == 2.0
         assert arithmetic_mean([]) == 0.0
-
-    def test_geometric(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
 
 
 class TestVariants:

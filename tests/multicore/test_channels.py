@@ -213,7 +213,7 @@ class TestCapacityPlanner:
         high = sequential_max_occupancy(g, schedule)
         crossings = steady_crossings(g, schedule)
         tids = list(g.tapes)
-        plan = plan_capacities(g, schedule, tids, slack_iterations=1)
+        plan = plan_capacities(g, schedule, tids)
         for tid in tids:
             assert plan[tid] == max(1, high[tid]) + crossings[tid]
 

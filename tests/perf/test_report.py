@@ -163,10 +163,9 @@ class TestKernelCacheSummary:
 
     def test_formats_all_counters(self):
         line = kernel_cache_summary({"lookups": 10, "hits": 7, "misses": 3,
-                                     "compiled": 3, "evictions": 1,
-                                     "size": 2})
+                                     "compiled": 3, "size": 2})
         assert line == ("kernel cache: 10 lookups, 7 hits, 3 misses "
-                        "(3 compiled), 1 evicted, 2 resident")
+                        "(3 compiled), 2 resident")
 
     def test_execute_populates_kernel_cache_field(self):
         graph = linear_program(make_ramp_source(), make_scaler(pop=4))
@@ -180,4 +179,3 @@ class TestKernelCacheSummary:
         assert compiled.kernel_cache["lookups"] > 0
         assert compiled.kernel_cache["size"] == \
             compiled.kernel_cache["compiled"]
-        assert compiled.kernel_cache["evictions"] == 0

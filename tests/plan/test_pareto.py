@@ -61,8 +61,8 @@ class TestFrontShape:
 class TestFrontSize:
     @pytest.mark.parametrize("app", DEFAULT_BENCHMARKS)
     def test_at_least_three_points_on_i7(self, app):
-        """The acceptance bar for BENCH_plan.json: every app's i7 front
-        offers at least three distinct memory-vs-throughput trade-offs."""
+        """Acceptance bar: every app's i7 front offers at least three
+        distinct memory-vs-throughput trade-offs."""
         front = pareto_front(_ctx(app), 4, points=6)
         assert len(front) >= 3
 

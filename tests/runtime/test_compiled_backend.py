@@ -146,31 +146,9 @@ class TestBackendResolution:
 
 
 class TestBoundedCacheEviction:
-    def test_max_kernels_validation(self):
-        with pytest.raises(ValueError, match="max_kernels"):
-            KernelCache(max_kernels=0)
-        assert KernelCache(max_kernels=1).max_kernels == 1
-        assert KernelCache().max_kernels is None
-
-    def test_fifo_eviction_under_bound(self):
-        """A bounded cache evicts the oldest insertion and recompiles it on
-        the next lookup; an unbounded cache never evicts."""
-        cache = KernelCache(max_kernels=2)
-        backend = CompiledBackend(cache=cache)
-        graph = _scaler_graph(2.0)  # source + scaler: 4 distinct kernels
-        result = execute(graph, backend=backend, iterations=1)
-        assert result.outputs == execute(graph, iterations=1).outputs
-        assert len(cache) == 2  # residency respects the bound
-        assert cache.stats.evictions == cache.stats.compiled - 2
-        assert cache.stats.evictions > 0
-        # Re-running recompiles evicted kernels: compiled keeps growing.
-        before = cache.stats.compiled
-        execute(graph, backend=backend, iterations=1)
-        assert cache.stats.compiled > before
-        assert len(cache) == 2
-
     def test_unbounded_cache_never_evicts(self):
+        """Every kernel compiled stays resident: residency equals the
+        compile count."""
         backend = CompiledBackend(cache=KernelCache())
         execute(_scaler_graph(2.0, 3.0), backend=backend, iterations=1)
-        assert backend.cache.stats.evictions == 0
         assert len(backend.cache) == backend.cache.stats.compiled

@@ -334,8 +334,8 @@ def test_write_strided_array_matches_list_path():
                    np.array([10, 20, 30], dtype=np.int64)):
         nd = NdTape("t")
         plain = Tape("t")
-        nd.write_strided_array(0, 2, values)
-        nd.write_strided_array(1, 2, values)
+        nd.write_strided(0, 2, values)
+        nd.write_strided(1, 2, values)
         nd.advance_writer(6)
         plain.write_strided(0, 2, values.tolist())
         plain.write_strided(1, 2, values.tolist())
@@ -348,7 +348,7 @@ def test_write_strided_array_huge_int_degrades_exactly():
     import numpy as np
     nd = NdTape("t")
     nd.push(0.5)                            # float storage
-    nd.write_strided_array(0, 1, np.array([2 ** 60], dtype=np.int64))
+    nd.write_strided(0, 1, np.array([2 ** 60], dtype=np.int64))
     nd.advance_writer(1)
     assert nd.degrade_reason == "int beyond float64-exact range"
     assert nd.drain() == [0.5, 2 ** 60]     # exact value preserved

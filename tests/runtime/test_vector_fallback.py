@@ -259,14 +259,6 @@ class TestRuntimeRouting:
         assert reasons
         assert all(len(r) > len("fallback: ") for r in reasons)
 
-    def test_backend_vector_stats_accumulate(self):
-        from repro.runtime.vector import VectorBackend
-        backend = VectorBackend()
-        graph = self._mixed_graph()
-        execute(graph, iterations=1, backend=backend)
-        assert backend.vector_stats["vector"] == 2
-        assert backend.vector_stats["fallback"] == 1
-
 
 class TestNumpyGate:
     def test_resolve_backend_vector_without_numpy(self, monkeypatch):

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+import repro.serve.pool as serve_pool
 from repro.obs.tracer import Tracer
 from repro.serve import (
     ERROR_KIND_WORKER_DIED,
@@ -94,13 +95,15 @@ class TestSupervisedRestart:
             assert after.ok, after.error
             assert pool.stats_snapshot()[0]["restarts"] == 1
 
-    def _at_most_once_redispatch(self, **transport):
+    def _at_most_once_redispatch(self, monkeypatch, **transport):
         """With restarts disabled and a single lane, a stranded session
         has nowhere to go: it must resolve as a typed WorkerDied rather
         than retry forever (or hang) — ``drain()`` returns, and no
         segment the dead worker may have created survives."""
-        with ServePool(1, max_queue_depth=8, max_restarts=0,
-                       **transport) as pool:
+        # The restart budget is read parent-side only, so patching the
+        # module constant reaches the pool's loop.
+        monkeypatch.setattr(serve_pool, "_MAX_RESTARTS", 0)
+        with ServePool(1, max_queue_depth=8, **transport) as pool:
             tickets = [pool.submit(SessionSpec(**SLOW)) for _ in range(3)]
             pool.kill_worker()
             pool.drain(timeout=WAIT_S)
@@ -119,11 +122,11 @@ class TestSupervisedRestart:
         assert len(pool.registry) == 0
         assert _no_leaked_segments(pool)
 
-    def test_at_most_once_redispatch(self):
-        self._at_most_once_redispatch(wire_transport="queue")
+    def test_at_most_once_redispatch(self, monkeypatch):
+        self._at_most_once_redispatch(monkeypatch, wire_transport="queue")
 
-    def test_at_most_once_redispatch_shm(self):
-        self._at_most_once_redispatch(wire_transport="shm",
+    def test_at_most_once_redispatch_shm(self, monkeypatch):
+        self._at_most_once_redispatch(monkeypatch, wire_transport="shm",
                                       shm_threshold=0)
 
     def test_overlapping_deaths_restart_together(self):

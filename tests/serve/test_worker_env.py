@@ -139,21 +139,6 @@ class TestGraphCache:
         result = env.run_session(SessionSpec(benchmark="DCT", iterations=3))
         assert result.graph_cache_hit
 
-    def test_max_graphs_bounds_residency(self):
-        env = WorkerEnv("compiled", max_graphs=2)
-        for name in ("DCT", "FFT", "BitonicSort", "MatrixMult"):
-            result = env.run_session(SessionSpec(benchmark=name,
-                                                 iterations=1))
-            assert result.ok, result.error
-            assert env.graph_cache_size() <= 2
-        # DCT was evicted (FIFO) — re-serving it is a miss, not a hit.
-        result = env.run_session(SessionSpec(benchmark="DCT", iterations=1))
-        assert not result.graph_cache_hit
-
-    def test_max_graphs_validation(self):
-        with pytest.raises(ValueError):
-            WorkerEnv("compiled", max_graphs=0)
-
 
 class TestKernelCacheReuse:
     """Satellite: cross-session kernel-cache reuse via structhash keys."""
@@ -173,7 +158,6 @@ class TestKernelCacheReuse:
         assert first["compiled"] > 0
         for delta in rest:
             assert delta["compiled"] == 0
-            assert delta["evictions"] == 0
             assert delta["hits"] == delta["lookups"] > 0
 
     def test_hit_rate_is_deterministic_across_fresh_environments(self):
@@ -192,20 +176,3 @@ class TestKernelCacheReuse:
         # 3..5 (repeats) compile nothing.
         for delta in runs[0][2:]:
             assert delta["compiled"] == 0
-
-    def test_max_kernels_evicts_under_many_distinct_shapes(self):
-        env = WorkerEnv("compiled", max_kernels=3)
-        for name in ("DCT", "FFT", "BitonicSort", "MatrixMult",
-                     "MP3Decoder"):
-            result = env.run_session(SessionSpec(benchmark=name,
-                                                 iterations=1))
-            assert result.ok, result.error
-            assert len(env.backend.cache) <= 3
-        stats = env.backend.cache.stats.snapshot()
-        assert stats["evictions"] > 0
-        # Correctness under eviction: a bounded cache still serves the
-        # right answers (re-run an evicted shape and compare).
-        spec = SessionSpec(benchmark="DCT", iterations=2)
-        served = env.run_session(spec)
-        ref = direct_reference(spec)
-        assert served.outputs == list(ref.outputs)

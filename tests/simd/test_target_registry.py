@@ -115,18 +115,3 @@ class TestRegistration:
         finally:
             self._cleanup(name, ("i7",) if
                           _TARGET_ALIASES.get("i7") == name else ())
-
-    def test_overwrite_replaces(self):
-        name = "test-target-ow"
-        try:
-            first = register_target(
-                MachineDescription(name=name, simd_width=4,
-                                   prices=CORE_I7.prices))
-            second = register_target(
-                MachineDescription(name=name, simd_width=8,
-                                   prices=CORE_I7.prices),
-                overwrite=True)
-            assert get_target(name) is second
-            assert get_target(name) is not first
-        finally:
-            self._cleanup(name, ())

@@ -1,7 +1,5 @@
 """CLI tests for ``macross run --cores`` and ``macross multicore``."""
 
-import pytest
-
 from repro.cli import main
 
 
@@ -55,9 +53,9 @@ class TestMulticoreCommand:
         assert "compiled backend" in out
         assert "MISMATCH" not in out
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
-            main(["multicore", "NotABench"])
+    def test_unknown_benchmark_raises(self, capsys):
+        assert main(["multicore", "NotABench"]) == 2
+        assert "unknown benchmark" in capsys.readouterr().err
 
     def test_trace_capture(self, tmp_path, capsys):
         path = tmp_path / "mc.jsonl"

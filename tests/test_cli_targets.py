@@ -1,8 +1,6 @@
 """CLI target-registry surface: ``macross targets``, ``--machine``,
 ``--pipeline``, and the unknown-target error path."""
 
-import pytest
-
 from repro.cli import main
 
 
@@ -66,10 +64,12 @@ class TestPipelineFlag:
         out = capsys.readouterr().out
         assert "scalar" in out
 
-    def test_unknown_pipeline_raises_with_hint(self):
-        with pytest.raises(KeyError, match="single-only"):
-            main(["compile", "RunningExample", "--pipeline",
-                  "single-onyl"])
+    def test_unknown_pipeline_raises_with_hint(self, capsys):
+        assert main(["compile", "RunningExample", "--pipeline",
+                     "single-onyl"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown pipeline 'single-onyl'" in err
+        assert "did you mean 'single-only'" in err
 
 
 class TestFuzzMachineFlag:

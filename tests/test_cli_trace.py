@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.obs import read_jsonl
 from repro.simd import PASS_NAMES
@@ -57,9 +55,9 @@ class TestTraceCommand:
             assert pass_name in names
         assert "execute" in names and "runtime.steady" in names
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
-            main(["trace", "NotABench"])
+    def test_unknown_benchmark_raises(self, capsys):
+        assert main(["trace", "NotABench"]) == 2
+        assert "unknown benchmark" in capsys.readouterr().err
 
 
 class TestTraceFlags:
