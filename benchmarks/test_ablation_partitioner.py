@@ -7,8 +7,8 @@ tapes, worse balance) at 4 cores.
 
 from repro.experiments.harness import arithmetic_mean, scalar_graph
 from repro.experiments.tables import format_table
-from repro.multicore import partition_contiguous, partition_lpt, simulate_multicore
-from repro.runtime import execute
+from repro.plan import (build_plan_context, evaluate_partition,
+                        partition_contiguous, partition_lpt)
 from repro.simd.machine import CORE_I7
 
 from .conftest import record
@@ -21,17 +21,16 @@ def run_comparison():
     rows = []
     for name in BENCHES:
         graph = scalar_graph(name)
-        base = execute(graph, machine=CORE_I7,
-                       iterations=2).cycles_per_output(CORE_I7)
-        lpt = simulate_multicore(graph, CORE_I7, 4,
-                                 partitioner=partition_lpt)
-        contiguous = simulate_multicore(graph, CORE_I7, 4,
-                                        partitioner=partition_contiguous)
+        ctx = build_plan_context(graph, CORE_I7)
+        outputs = ctx.outputs_per_iteration
+        lpt, contiguous = (
+            evaluate_partition(ctx, partitioner(graph, ctx.costs, 4))
+            for partitioner in (partition_lpt, partition_contiguous))
         rows.append((name,
-                     base / lpt.makespan_per_output,
-                     base / contiguous.makespan_per_output,
-                     lpt.comm_cycles,
-                     contiguous.comm_cycles))
+                     ctx.total_work / lpt.makespan,
+                     ctx.total_work / contiguous.makespan,
+                     lpt.comm_cycles / outputs,
+                     contiguous.comm_cycles / outputs))
     means = [arithmetic_mean([r[i] for r in rows]) for i in (1, 2)]
     rows.append(("AVERAGE", *means, 0.0, 0.0))
     return rows, means

@@ -17,7 +17,7 @@ from repro.apps.beamformer import make_beam, make_channel_fir
 from repro.apps.dspkit import adder
 from repro.apps.sources import lcg_source
 from repro.graph import duplicate_splitter, roundrobin_joiner, splitjoin
-from repro.multicore import multicore_speedups
+from repro.experiments.fig13 import multicore_speedups
 
 CHANNELS = 4
 BEAMS = 4

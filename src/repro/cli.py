@@ -434,14 +434,15 @@ def _run(args: argparse.Namespace, tracer) -> int:
 
 def _multicore(args: argparse.Namespace, tracer) -> int:
     """``macross multicore <bench>``: per core count, the Figure 13
-    *modeled* makespan per output next to a *measured* run on the
-    thread-based parallel runtime — for the scalar graph and for the
-    macro-SIMDized variant (partition-first, then per-core SIMDization,
-    the paper's §5 scheduler)."""
+    *modeled* makespan per output (:func:`repro.plan.evaluate_partition`)
+    next to a *measured* run on the thread-based parallel runtime — for
+    the scalar graph and for the macro-SIMDized variant (partition-first,
+    then per-core SIMDization, the paper's §5 scheduler)."""
     from .experiments.harness import scalar_graph
     from .experiments.tables import format_table
-    from .multicore import (Partition, get_partitioner, parallel_execute,
-                            profile_actor_costs, simulate_multicore)
+    from .multicore import parallel_execute
+    from .plan import (Partition, build_plan_context, evaluate_partition,
+                       get_partitioner)
     from .runtime import execute
     from .simd import compile_graph
 
@@ -449,10 +450,8 @@ def _multicore(args: argparse.Namespace, tracer) -> int:
     partitioner = get_partitioner(args.partitioner, machine)
     graph = scalar_graph(args.benchmark)
     iterations = args.iterations
-    baseline = execute(graph, machine=machine, iterations=iterations,
-                       backend=args.backend)
-    base_cpo = baseline.cycles_per_output(machine)
-    costs = profile_actor_costs(graph, machine, iterations=iterations)
+    scalar_ctx = build_plan_context(graph, machine, iterations=iterations)
+    base_cpo = scalar_ctx.total_work / scalar_ctx.outputs_per_iteration
 
     print(f"{args.benchmark} on {machine.name} [{args.backend} backend, "
           f"{args.partitioner} partitioner, {iterations} steady "
@@ -461,21 +460,22 @@ def _multicore(args: argparse.Namespace, tracer) -> int:
     rows = []
     exit_code = 0
     for cores in args.cores or [1, 2, 4]:
-        part = partitioner(graph, costs, cores)
+        part = partitioner(graph, scalar_ctx.costs, cores)
         for variant, macro in (("scalar", False), ("+MacroSS", True)):
-            model = simulate_multicore(graph, machine, cores,
-                                       macro_simd=macro,
-                                       partitioner=partitioner,
-                                       iterations=iterations)
             if macro:
                 compiled = compile_graph(graph, machine,
                                          partition=part.assignment,
                                          tracer=tracer)
                 exec_graph = compiled.graph
                 run_partition = Partition(compiled.core_assignment, cores)
+                ctx = build_plan_context(exec_graph, machine,
+                                         iterations=iterations)
             else:
                 exec_graph = graph
                 run_partition = part
+                ctx = scalar_ctx
+            model_cpo = (evaluate_partition(ctx, run_partition).makespan
+                         / ctx.outputs_per_iteration)
             seq = execute(exec_graph, machine=machine,
                           iterations=iterations, backend=args.backend)
             par = parallel_execute(exec_graph, machine=machine,
@@ -488,8 +488,8 @@ def _multicore(args: argparse.Namespace, tracer) -> int:
                 exit_code = 1
             rows.append((
                 str(cores), variant,
-                f"{model.makespan_per_output:.1f}",
-                f"{base_cpo / model.makespan_per_output:.2f}x",
+                f"{model_cpo:.1f}",
+                f"{base_cpo / model_cpo:.2f}x",
                 str(len(par.channel_stats)),
                 str(par.total_stalls()),
                 (str(par.batched_firings)

@@ -174,18 +174,6 @@ def _schedule_problems(graph: StreamGraph, schedule: Schedule) -> List[str]:
     return problems
 
 
-def _terminal_rate(graph: StreamGraph, schedule: Schedule) -> Optional[int]:
-    """Expected outputs per steady iteration (None when no terminal)."""
-    from ..graph.actor import FilterSpec
-    terminals = [a for a in graph.actors.values()
-                 if not graph.out_tapes(a.id)
-                 and isinstance(a.spec, FilterSpec) and a.spec.push > 0]
-    if len(terminals) != 1:
-        return None
-    term = terminals[0]
-    return schedule.reps[term.id] * term.spec.push
-
-
 @dataclass
 class CheckReport:
     """Outcome of checking one program across the config matrix."""
@@ -295,11 +283,12 @@ def check_graph(graph: StreamGraph,
                                     trail):
                 return report
 
-            expected = _terminal_rate(tgraph, schedule)
-            if expected is not None and \
-                    len(ref.outputs) != CHECK_ITERATIONS * expected:
+            outs = tgraph.output_actors()
+            expected = (CHECK_ITERATIONS * schedule.reps[outs[0].id]
+                        * outs[0].spec.push if len(outs) == 1 else None)
+            if expected is not None and len(ref.outputs) != expected:
                 if diverge("rate", f"{config}/interp",
-                           f"expected {CHECK_ITERATIONS * expected} outputs, "
+                           f"expected {expected} outputs, "
                            f"got {len(ref.outputs)}", trail):
                     return report
 

@@ -163,8 +163,12 @@ class StreamGraph:
     def sources(self) -> List[ActorInstance]:
         return [a for a in self.actors.values() if not self.in_tapes(a.id)]
 
-    def terminals(self) -> List[ActorInstance]:
-        return [a for a in self.actors.values() if not self.out_tapes(a.id)]
+    def output_actors(self) -> List[ActorInstance]:
+        """Filters that push but have no output tape: whatever they push
+        is the run's output.  A runnable graph has at most one."""
+        return [a for a in self.actors.values()
+                if a.is_filter and a.spec.push > 0
+                and not self.out_tapes(a.id)]
 
     def actors_on_cycles(self) -> set:
         """Actors belonging to some directed cycle (feedback loops).

@@ -1,20 +1,9 @@
-"""Multicore partitioning, the Figure 13 makespan model, and the
-thread-based parallel runtime that validates it."""
+"""The thread-based parallel runtime: bounded cross-core channels and
+:func:`parallel_execute`, which runs a partition on worker threads.
 
-from ..plan.capacity import (
-    plan_capacities,
-    sequential_max_occupancy,
-    steady_crossings,
-)
-from ..plan.partitioners import (
-    Partition,
-    UnknownPartitionerError,
-    get_partitioner,
-    list_partitioners,
-    partition_contiguous,
-    partition_lpt,
-    register_partitioner,
-)
+Partitioners, channel capacities and the Figure 13 cost model
+(:func:`repro.plan.evaluate_partition`) live in :mod:`repro.plan`."""
+
 from .channels import (
     Channel,
     ChannelAborted,
@@ -26,21 +15,9 @@ from .parallel import (
     ParallelExecutionResult,
     parallel_execute,
 )
-from .simulate import (
-    MulticoreResult,
-    multicore_speedups,
-    profile_actor_costs,
-    simulate_multicore,
-)
 
 __all__ = [
-    "Partition", "UnknownPartitionerError", "get_partitioner",
-    "list_partitioners", "partition_contiguous", "partition_lpt",
-    "register_partitioner",
-    "MulticoreResult", "multicore_speedups", "profile_actor_costs",
-    "simulate_multicore",
     "Channel", "ChannelAborted", "ChannelError", "ChannelStallTimeout",
-    "ChannelStats", "plan_capacities", "sequential_max_occupancy",
-    "steady_crossings",
+    "ChannelStats",
     "ParallelExecutionResult", "parallel_execute",
 ]

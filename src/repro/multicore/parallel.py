@@ -1,12 +1,13 @@
 """Thread-based parallel executor: a :class:`Partition` actually *runs*.
 
-:mod:`repro.multicore.simulate` models Figure 13's makespan analytically;
-this module executes it — as the partition-correctness executor: the
-proof that a partitioned graph is still the same Kahn network.  It is the
-second front door of the one run loop in :mod:`repro.runtime.executor`
-and owns only what a partition adds: :func:`parallel_execute` turns the
-partition into one slice of actors per core, puts every tape the
-partition cuts behind a bounded, double-buffered
+:func:`repro.plan.evaluate_partition` prices Figure 13's makespan
+analytically; this module executes it — as the partition-correctness
+executor: the proof that a partitioned graph is still the same Kahn
+network.  It is the second front door of the one run loop in
+:mod:`repro.runtime.executor` and owns only what a partition adds:
+:func:`parallel_execute` turns the partition into one slice of actors
+per core, puts every tape the partition cuts behind a bounded,
+double-buffered
 :class:`~repro.multicore.channels.Channel` (capacities from
 :func:`~repro.plan.capacity.plan_capacities`), and hands tapes and slices
 to the loop, which sets each slice up on any execution backend (interp,

@@ -12,7 +12,8 @@ them behind one seam:
 * :mod:`~repro.plan.capacity` — deadlock-free channel capacities (the
   memory a partition pays per cut tape);
 * :mod:`~repro.plan.evaluate` — communication-aware pricing of one
-  candidate partition (pure arithmetic, no execution);
+  candidate partition (pure arithmetic, no execution), also the Figure 13
+  makespan model;
 * :mod:`~repro.plan.optimizer` — branch-and-bound min-memory-under-
   makespan-bound (and the dual) over actor->core assignments;
 * :mod:`~repro.plan.pareto` — the memory-vs-throughput front per app;

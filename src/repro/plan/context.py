@@ -4,10 +4,10 @@ Partitioning, buffer sizing, and vectorization choice all consume the
 same facts about a program: its graph, its schedule, per-actor compute
 costs, per-edge steady-state traffic, and the target machine's price
 table.  Before the planning subsystem existed those facts were
-re-derived ad hoc in four unrelated modules (``multicore/partition``,
-``multicore/channels``, ``multicore/simulate``, ``simd/technique_choice``)
-that could not see each other's costs; :class:`PlanContext` bundles them
-once so every planner prices candidates identically:
+re-derived ad hoc in unrelated modules (the multicore partitioner,
+channels and makespan model, ``simd/technique_choice``) that could not
+see each other's costs; :class:`PlanContext` bundles them once so every
+planner — and the Figure 13 model — prices candidates identically:
 
 * ``costs`` — modeled compute cycles per actor per steady iteration
   (profiled through the ordinary executor, so they reflect whatever
@@ -29,9 +29,9 @@ from typing import Dict, Optional, Union
 
 from ..graph.stream_graph import StreamGraph
 from ..perf import events as ev
+from ..runtime.errors import StreamRuntimeError
 from ..schedule.steady_state import Schedule, build_schedule
-from ..simd.machine import (CORE_I7, MachineDescription,
-                            UnsupportedOperation, get_target)
+from ..simd.machine import CORE_I7, MachineDescription, get_target
 from .capacity import plan_capacities, steady_crossings
 
 __all__ = ["PlanContext", "build_plan_context", "profile_actor_costs"]
@@ -75,6 +75,21 @@ class PlanContext:
         """Total compute cycles per steady iteration (cores=1 makespan)."""
         return sum(self.costs.values())
 
+    @property
+    def outputs_per_iteration(self) -> int:
+        """Items the output actor pushes per steady iteration — the
+        divisor that turns per-iteration cycles into cycles per output.
+
+        Raises :class:`~repro.runtime.errors.StreamRuntimeError` when the
+        graph has no output actor: a per-output figure is meaningless
+        without outputs (it must not be masked as ``max(1, …)``).
+        """
+        items = sum(self.schedule.reps[actor.id] * actor.spec.push
+                    for actor in self.graph.output_actors())
+        if not items:
+            raise StreamRuntimeError("graph produced no steady-state output")
+        return items
+
     def comm_cycles(self, tape_id: int) -> float:
         """Cycles the receiving core pays per steady iteration if
         ``tape_id`` is cut."""
@@ -99,10 +114,6 @@ def build_plan_context(graph: StreamGraph,
         schedule = build_schedule(graph)
     if costs is None:
         costs = profile_actor_costs(graph, machine, iterations=iterations)
-    try:
-        comm_price = machine.price(ev.COMM)
-    except UnsupportedOperation:
-        comm_price = 0.0
     return PlanContext(
         graph=graph,
         schedule=schedule,
@@ -110,5 +121,5 @@ def build_plan_context(graph: StreamGraph,
         costs=dict(costs),
         traffic=steady_crossings(graph, schedule),
         capacities=plan_capacities(graph, schedule, graph.tapes),
-        comm_price=comm_price,
+        comm_price=machine.price(ev.COMM),
     )

@@ -1,17 +1,22 @@
-"""Communication-aware plan evaluation.
+"""Communication-aware plan evaluation — the one partition cost model.
 
-The Figure 13 model in :mod:`repro.multicore.simulate` prices a
-partition per produced *output* (a throughput metric for the paper's
-speedup plots); the planner needs the same quantity per steady
-*iteration* and without re-executing the graph — every branch-and-bound
-node evaluates one candidate, so evaluation must be pure arithmetic over
-the :class:`~repro.plan.context.PlanContext`.
+:func:`evaluate_partition` prices a partition per steady *iteration* as
+pure arithmetic over the :class:`~repro.plan.context.PlanContext`, so
+every branch-and-bound node can evaluate a candidate without executing
+anything.  The same function is the Figure 13 model: Figure 13
+(:func:`repro.experiments.fig13.multicore_speedups`), the partitioner
+ablation and ``macross multicore`` divide its makespan by
+:attr:`~repro.plan.context.PlanContext.outputs_per_iteration` to get
+cycles per output item.
 
-The accounting matches the runtime and the Figure 13 model exactly:
+The accounting:
 
 * each core's load is the compute cycles of its actors plus a
   ``traffic x COMM-price`` charge for every cut tape it *receives* (the
-  paper's "the receiving core stalls on the transfer", §5);
+  paper's "the receiving core stalls on the transfer", §5); the sending
+  side's stores are already priced in the producer's compute, and only
+  steady-state crossings count — init-phase priming amortises to zero,
+  like init-phase compute;
 * a partition's buffer memory is the sum of the deadlock-free channel
   capacities (:mod:`repro.plan.capacity`) over its cut tapes — exactly
   what :func:`repro.multicore.parallel.parallel_execute` will allocate.

@@ -12,7 +12,7 @@ up by (case-insensitive) name via :func:`get_partitioner`, unknown names
 raise a typed :class:`UnknownPartitionerError` with a did-you-mean
 suggestion and the registered-name listing, and registering a new
 strategy here carries it through ``parallel_execute``/``execute(...,
-partitioner=)``, ``simulate_multicore``, the ``macross
+partitioner=)``, Figure 13's ``multicore_speedups``, the ``macross
 multicore``/``plan`` CLI, and the fuzz parallel-parity oracle's
 partitioner axis with zero driver edits.
 
@@ -55,12 +55,6 @@ class Partition:
     def core_of(self, actor_id: int) -> int:
         return self.assignment[actor_id]
 
-    def loads(self, costs: Dict[int, float]) -> List[float]:
-        loads = [0.0] * self.cores
-        for actor_id, core in self.assignment.items():
-            loads[core] += costs.get(actor_id, 0.0)
-        return loads
-
 
 #: A partitioner: ``(graph, per-actor costs, cores) -> Partition``.
 PartitionFn = Callable[[StreamGraph, Dict[int, float], int], Partition]
@@ -90,8 +84,7 @@ def partition_contiguous(graph: StreamGraph, costs: Dict[int, float],
 
     Edge cases share :func:`partition_lpt`'s contract: every actor is
     assigned, cores stay in ``range(cores)``, and ``cores >
-    len(actors)`` simply leaves trailing cores empty —
-    :meth:`Partition.loads` still reports one (zero) load per core.  An
+    len(actors)`` simply leaves trailing cores empty.  An
     all-zero (or empty) cost map degrades to contiguous slices balanced
     by actor *count*: with no cost signal the old cumulative-threshold
     rule (``acc >= 0`` — trivially true) hopped every actor to the next

@@ -203,13 +203,10 @@ class _GraphRun:
         self._setup_actors()
 
     def _setup_actors(self) -> None:
-        terminal_candidates = [
-            a for a in self.graph.actors.values()
-            if not self.graph.out_tapes(a.id)
-            and isinstance(a.spec, FilterSpec) and a.spec.push > 0]
-        if len(terminal_candidates) > 1:
+        outputs = self.graph.output_actors()
+        if len(outputs) > 1:
             raise StreamRuntimeError("multiple dangling outputs")
-        collector_owner = terminal_candidates[0].id if terminal_candidates else None
+        collector_owner = outputs[0].id if outputs else None
 
         for actor in self.graph.actors.values():
             if actor.id not in self.local_actors:

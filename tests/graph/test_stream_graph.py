@@ -70,7 +70,17 @@ class TestQueries:
     def test_sources_and_terminals(self):
         g, a, b, c = _chain_graph()
         assert [x.id for x in g.sources()] == [a.id]
-        assert [x.id for x in g.terminals()] == [c.id]
+        assert [x.id for x in g.output_actors()] == [c.id]
+
+    def test_output_actors_skip_sinks_and_movers(self):
+        """A terminal filter that pushes nothing, and a terminal splitter,
+        produce no output."""
+        g, a, b, c = _chain_graph()
+        sink = g.add_actor(FilterSpec("sink", pop=1, push=0))
+        split = g.add_actor(duplicate_splitter(2))
+        g.add_tape(b.id, sink.id)
+        g.add_tape(a.id, split.id)
+        assert [x.id for x in g.output_actors()] == [c.id]
 
     def test_topological_order(self):
         g, a, b, c = _chain_graph()

@@ -11,12 +11,14 @@ from repro.multicore import (
     ChannelAborted,
     ChannelError,
     ChannelStallTimeout,
+)
+from repro.multicore.channels import RunAbort
+from repro.obs.tracer import Tracer
+from repro.plan import (
     plan_capacities,
     sequential_max_occupancy,
     steady_crossings,
 )
-from repro.multicore.channels import RunAbort
-from repro.obs.tracer import Tracer
 from repro.schedule import build_schedule
 
 from ..conftest import (

@@ -10,12 +10,9 @@ import pytest
 
 from repro.apps import BENCHMARKS
 from repro.fuzz.harness import _counter_bags, check_parallel
-from repro.multicore import (
-    ParallelExecutionResult,
-    Partition,
-    parallel_execute,
-)
+from repro.multicore import ParallelExecutionResult, parallel_execute
 from repro.obs.tracer import Tracer
+from repro.plan import Partition
 from repro.runtime import execute
 from repro.runtime.errors import StreamRuntimeError
 from repro.simd.machine import CORE_I7
@@ -159,7 +156,7 @@ class TestPartitionPlumbing:
             parallel_execute(g, machine=CORE_I7, cores=2, partition=bad)
 
     def test_custom_partitioner_is_used(self):
-        from repro.multicore import partition_contiguous
+        from repro.plan import partition_contiguous
         g = _pipeline_graph()
         par = parallel_execute(g, machine=CORE_I7, iterations=2, cores=2,
                                partitioner=partition_contiguous)
@@ -181,7 +178,7 @@ class TestExecuteFrontDoor:
         assert par.outputs == seq.outputs
 
     def test_partitioner_kwarg_alone_delegates(self):
-        from repro.multicore import partition_lpt
+        from repro.plan import partition_lpt
         g = _pipeline_graph()
         result = execute(g, machine=CORE_I7, iterations=2,
                          partitioner=partition_lpt)

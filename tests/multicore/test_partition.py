@@ -1,10 +1,17 @@
 """Tests for the multicore partitioners."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.multicore import partition_contiguous, partition_lpt
+from repro.plan import (
+    build_plan_context,
+    evaluate_partition,
+    partition_contiguous,
+    partition_lpt,
+)
 
 from ..conftest import linear_program, make_pair_sum, make_ramp_source, make_scaler
 
@@ -14,6 +21,13 @@ def _graph():
                           make_scaler(name="a"),
                           make_scaler(name="b"),
                           make_pair_sum())
+
+
+def _loads(graph, part, costs):
+    """Per-core compute load: the planner's price with free transfers."""
+    ctx = build_plan_context(graph, costs=costs)
+    ctx = dataclasses.replace(ctx, comm_price=0.0)
+    return list(evaluate_partition(ctx, part).core_loads)
 
 
 class TestLPT:
@@ -32,7 +46,7 @@ class TestLPT:
         g = _graph()
         costs = {aid: float(aid + 1) for aid in g.actors}
         part = partition_lpt(g, costs, 2)
-        loads = part.loads(costs)
+        loads = _loads(g, part, costs)
         assert max(loads) - min(loads) <= max(costs.values())
 
     def test_heaviest_actor_first(self):
@@ -95,7 +109,7 @@ class TestEdgeCases:
         assert set(part.assignment) == set(g.actors)
         assert all(0 <= core < cores for core in part.assignment.values())
         # Trailing cores stay empty but still report a (zero) load.
-        assert len(part.loads(costs)) == cores
+        assert len(_loads(g, part, costs)) == cores
 
     @pytest.mark.parametrize("partitioner", PARTITIONERS, ids=_IDS)
     def test_all_zero_costs(self, partitioner):
@@ -132,6 +146,6 @@ class TestProperties:
         assert all(0 <= core < cores
                    for core in part.assignment.values())  # in range
         assert part.cores == cores
-        loads = part.loads(costs)
+        loads = _loads(g, part, costs)
         assert len(loads) == cores
         assert sum(loads) == pytest.approx(sum(costs.values()))

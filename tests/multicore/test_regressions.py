@@ -4,19 +4,22 @@ Three defects, each pinned so it cannot quietly return:
 
 1. ``MacroSSOptions`` used to be a *shared mutable default* in four
    signatures (``compile_graph``, ``Variants.macro_graph``,
-   ``Variants.macro_cpo``, ``simulate_multicore``) — one caller mutating
+   ``Variants.macro_cpo``, the Figure 13 model) — one caller mutating
    its options could change every later call's behaviour.  The fix is
    two-pronged: the dataclass is frozen, and every default is ``None``
    with per-call instantiation.
 2. ``multicore_speedups`` silently dropped ``partitioner`` / ``options``
-   / ``iterations`` instead of forwarding them to ``simulate_multicore``,
+   / ``iterations`` instead of forwarding them to the per-variant model,
    making the partitioner ablation a no-op through that entry point.
-3. ``simulate_multicore`` masked "no steady-state output" with
-   ``max(1, len(outputs))``, reporting a meaningless finite makespan; it
-   now raises :class:`StreamRuntimeError` like ``cycles_per_output``.
+3. The Figure 13 model masked "no steady-state output" with
+   ``max(1, len(outputs))``, reporting a meaningless finite makespan;
+   ``PlanContext.outputs_per_iteration`` now raises
+   :class:`StreamRuntimeError` like ``cycles_per_output``.
 
-Plus a pin of the *deliberate* communication-accounting semantics:
-receiver-only charge, steady-state crossings only (paper §5).
+Plus a pin of the *deliberate* communication-accounting semantics of
+:func:`~repro.plan.evaluate_partition`, checked against a sequential
+:func:`execute`: receiver-only charge, steady-state crossings only
+(paper §5).
 """
 
 import dataclasses
@@ -24,14 +27,15 @@ import inspect
 
 import pytest
 
+from repro.experiments.fig13 import multicore_speedups
 from repro.experiments.harness import Variants
 from repro.graph import FilterSpec, StateVar
-from repro.multicore import (
+from repro.plan import (
     Partition,
-    multicore_speedups,
+    build_plan_context,
+    evaluate_partition,
     partition_contiguous,
     partition_lpt,
-    simulate_multicore,
 )
 from repro.perf import events as ev
 from repro.runtime import execute
@@ -51,7 +55,7 @@ OPTIONS_TAKERS = [
     compile_graph,
     Variants.macro_graph,
     Variants.macro_cpo,
-    simulate_multicore,
+    multicore_speedups,
 ]
 
 
@@ -168,11 +172,13 @@ def _sink(name: str = "sink") -> FilterSpec:
 def test_no_output_graph_raises_instead_of_masking():
     g = linear_program(make_ramp_source(4), make_scaler(name="a"), _sink())
     with pytest.raises(StreamRuntimeError, match="no steady-state output"):
-        simulate_multicore(g, CORE_I7, 2)
+        build_plan_context(g, CORE_I7).outputs_per_iteration
+    with pytest.raises(StreamRuntimeError, match="no steady-state output"):
+        multicore_speedups(g, CORE_I7, [2])
 
 
 def test_no_output_matches_cycles_per_output_contract():
-    """The masking fix aligns simulate_multicore with the executor's own
+    """The masking fix aligns the Figure 13 model with the executor's own
     per-output contract."""
     g = linear_program(make_ramp_source(4), make_scaler(name="a"), _sink())
     result = execute(g, machine=CORE_I7, iterations=2)
@@ -195,24 +201,28 @@ def test_comm_charged_to_receiving_core_only():
         return Partition({src: 0, a: 1, b: 1}, 2)
 
     iterations = 2
-    res = simulate_multicore(g, CORE_I7, 2, partitioner=cut_after_src,
-                             iterations=iterations)
+    ctx = build_plan_context(g, CORE_I7, iterations=iterations)
+    res = evaluate_partition(ctx, cut_after_src(g, ctx.costs, 2))
     seq = execute(g, machine=CORE_I7, iterations=iterations)
     per_actor = seq.actor_cycles(CORE_I7)
     outputs = len(seq.outputs)
+    assert outputs == iterations * ctx.outputs_per_iteration
+    # Per output item, as Figure 13 reports it.
+    scale = 1 / ctx.outputs_per_iteration
 
     # The sending core's load is *pure compute* — no transfer surcharge.
-    assert res.core_loads[0] == pytest.approx(per_actor[src] / outputs)
+    assert res.core_loads[0] * scale == pytest.approx(
+        per_actor[src] / outputs)
 
     # Only steady-state crossings are priced: reps[src] * push_rate items
     # per steady iteration, nothing for init priming.
     (tape,) = [t for t in g.tapes.values() if t.src == src]
     items = seq.schedule.reps[src] * g.push_rate(src, tape.src_port)
     expected_comm = items * iterations * CORE_I7.price(ev.COMM)
-    assert res.comm_cycles == pytest.approx(expected_comm / outputs)
+    assert res.comm_cycles * scale == pytest.approx(expected_comm / outputs)
 
     # ... and the whole charge lands on the receiving core.
-    assert res.core_loads[1] == pytest.approx(
+    assert res.core_loads[1] * scale == pytest.approx(
         (per_actor[a] + per_actor[b] + expected_comm) / outputs)
 
 
@@ -222,5 +232,9 @@ def test_same_core_tapes_are_free():
     def all_on_one(graph, costs, cores):
         return Partition({aid: 0 for aid in graph.actors}, cores)
 
-    res = simulate_multicore(g, CORE_I7, 2, partitioner=all_on_one)
+    ctx = build_plan_context(g, CORE_I7)
+    res = evaluate_partition(ctx, all_on_one(g, ctx.costs, 2))
     assert res.comm_cycles == 0
+    seq = execute(g, machine=CORE_I7, iterations=2)
+    assert res.makespan / ctx.outputs_per_iteration == pytest.approx(
+        seq.cycles_per_output(CORE_I7))

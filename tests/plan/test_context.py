@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.perf import events as ev
@@ -14,7 +16,7 @@ from repro.plan import (
     sequential_max_occupancy,
     steady_crossings,
 )
-from repro.simd.machine import CORE_I7, GPU_LIKE
+from repro.simd.machine import CORE_I7, GPU_LIKE, UnsupportedOperation
 
 from ..conftest import (
     linear_program,
@@ -70,6 +72,15 @@ class TestContext:
         ctx = build_plan_context(graph, "i7", costs=costs)
         assert ctx.costs == costs
 
+    def test_target_without_comm_price_raises(self):
+        """A target that cannot price a transfer must not be planned as if
+        communication were free."""
+        prices = {event: price for event, price in CORE_I7.prices.items()
+                  if event != ev.COMM}
+        no_comm = dataclasses.replace(CORE_I7, prices=prices)
+        with pytest.raises(UnsupportedOperation, match="comm"):
+            build_plan_context(_graph(), no_comm)
+
 
 class TestEvaluate:
     def test_serial_partition_has_no_comm_or_memory(self):
@@ -104,7 +115,6 @@ class TestEvaluate:
         split = Partition({aid: (0 if i < len(order) - 1 else 1)
                            for i, aid in enumerate(order)}, 2)
         ev_base = evaluate_partition(base, split)
-        import dataclasses
         pricier = dataclasses.replace(base, comm_price=base.comm_price * 2)
         ev_pricey = evaluate_partition(pricier, split)
         assert ev_pricey.core_loads[1] > ev_base.core_loads[1]

@@ -3,7 +3,7 @@ lies must fail loudly, never silently corrupt the stream."""
 
 import pytest
 
-from repro.graph import FilterSpec, StreamGraph
+from repro.graph import FilterSpec, StreamGraph, duplicate_splitter
 from repro.ir import WorkBuilder
 from repro.runtime import execute
 from repro.runtime.errors import StreamRuntimeError, TapeUnderflow
@@ -68,6 +68,21 @@ class TestGraphSabotage:
         a = g.add_actor(make_ramp_source(2, name="a"))
         b = g.add_actor(make_ramp_source(2, name="b"))
         with pytest.raises(StreamRuntimeError):
+            execute(g, iterations=1)
+
+    def test_two_pushing_terminal_filters_rejected(self):
+        """A connected graph whose splitter feeds two pushing filters
+        with no consumer has two outputs: the run refuses to pick one."""
+        g = StreamGraph()
+        src = g.add_actor(make_ramp_source(2))
+        split = g.add_actor(duplicate_splitter(2))
+        g.add_tape(src.id, split.id)
+        for port, name in enumerate(("left", "right")):
+            leaf = g.add_actor(make_scaler(name=name))
+            g.add_tape(split.id, leaf.id, src_port=port)
+        assert len(g.output_actors()) == 2
+        with pytest.raises(StreamRuntimeError,
+                           match="multiple dangling outputs"):
             execute(g, iterations=1)
 
     def test_disconnected_components_run_independently(self):

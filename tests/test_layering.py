@@ -1,5 +1,6 @@
 """Static layering check: ``repro.runtime`` sits below the multicore,
-serving and planning layers and must not import them.
+serving and planning layers and must not import them, and
+``repro.plan`` sits below the multicore runtime.
 
 ``import repro`` pulls every subpackage in, so ``sys.modules`` cannot show
 a layering leak — the imports are read off the AST instead, function-level
@@ -37,12 +38,25 @@ def _imported_names(path: Path):
             yield from (f"{module}.{alias.name}" for alias in node.names)
 
 
-def test_runtime_does_not_import_upper_layers():
-    upward = set()
-    for path in sorted((SRC / "runtime").rglob("*.py")):
+def _edges_into(package: str, layers):
+    """``(importer, layer)`` for every module under ``package`` that
+    imports one of ``layers``."""
+    edges = set()
+    for path in sorted((SRC / package).rglob("*.py")):
         importer = ".".join(
             path.relative_to(SRC.parent).with_suffix("").parts)
         for name in _imported_names(path):
-            upward.update((importer, layer) for layer in UPPER_LAYERS
-                          if (name + ".").startswith(layer + "."))
+            edges.update((importer, layer) for layer in layers
+                         if (name + ".").startswith(layer + "."))
+    return edges
+
+
+def test_runtime_does_not_import_upper_layers():
+    upward = _edges_into("runtime", UPPER_LAYERS)
     assert upward == ALLOWED, sorted(upward ^ ALLOWED)
+
+
+def test_plan_does_not_import_multicore():
+    """The planner prices partitions; the thread runtime that executes
+    them sits on top of it, never underneath."""
+    assert _edges_into("plan", ("repro.multicore",)) == set()
