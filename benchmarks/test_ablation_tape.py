@@ -27,9 +27,9 @@ def run_ablation():
         base = plain.baseline_cpo()
         rows.append((
             name,
-            base / plain.macro_cpo(_SCALAR_TAPES, tag="scalar-tapes"),
-            base / plain.macro_cpo(tag="permute"),
-            base / sagu.macro_cpo(tag="sagu"),
+            base / plain.macro_cpo(_SCALAR_TAPES),
+            base / plain.macro_cpo(),
+            base / sagu.macro_cpo(),
         ))
     means = [arithmetic_mean([r[i] for r in rows]) for i in (1, 2, 3)]
     rows.append(("AVERAGE", *means))

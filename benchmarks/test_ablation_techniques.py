@@ -28,8 +28,8 @@ def run_ablation():
     for name in DEFAULT_BENCHMARKS:
         variants = Variants(name, CORE_I7)
         base = variants.baseline_cpo()
-        speedups = [base / variants.macro_cpo(options, tag=label)
-                    for label, options in CONFIGS]
+        speedups = [base / variants.macro_cpo(options)
+                    for _label, options in CONFIGS]
         rows.append((name, *speedups))
     means = [arithmetic_mean([row[i] for row in rows])
              for i in range(1, len(CONFIGS) + 1)]

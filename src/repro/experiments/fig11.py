@@ -53,8 +53,8 @@ def run_fig11(machine: MachineDescription = CORE_I7,
     rows: List[Fig11Row] = []
     for name in resolve_benchmarks(benchmarks):
         variants = Variants(name, machine)
-        single_only = variants.macro_cpo(_SINGLE_CONFIG, tag="single-only")
-        full = variants.macro_cpo(_VERTICAL_CONFIG, tag="vertical")
+        single_only = variants.macro_cpo(_SINGLE_CONFIG)
+        full = variants.macro_cpo(_VERTICAL_CONFIG)
         rows.append(Fig11Row(name, (single_only / full - 1.0) * 100.0))
     return Fig11Result(tuple(rows))
 

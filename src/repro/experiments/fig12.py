@@ -54,7 +54,7 @@ def run_fig12(machine: MachineDescription = CORE_I7,
     for name in resolve_benchmarks(benchmarks):
         base_variants = Variants(name, machine)
         sagu_variants = Variants(name, sagu_machine)
-        without = base_variants.macro_cpo(_BASELINE_CONFIG, tag="no-sagu")
+        without = base_variants.macro_cpo(_BASELINE_CONFIG)
         with_sagu = sagu_variants.macro_cpo()
         rows.append(Fig12Row(name, (without / with_sagu - 1.0) * 100.0))
     return Fig12Result(tuple(rows))

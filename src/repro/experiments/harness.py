@@ -81,7 +81,9 @@ class Variants:
     def __post_init__(self) -> None:
         self.machine = get_target(self.machine)
         self.scalar = scalar_graph(self.name)
-        self._cpo: Dict[str, float] = {}
+        #: measured cycles per output, keyed by variant: a label for the
+        #: scalar and auto-vectorized builds, the options for MacroSS ones.
+        self._cpo: Dict[Union[str, MacroSSOptions], float] = {}
 
     def baseline_cpo(self) -> float:
         return self._measure("scalar", self.scalar)
@@ -101,11 +103,12 @@ class Variants:
         return compile_graph(self.scalar, self.machine, options,
                              tracer=self.tracer).graph
 
-    def macro_cpo(self, options: Optional[MacroSSOptions] = None,
-                  tag: str = "macro") -> float:
-        if tag not in self._cpo:
-            self._measure(tag, self.macro_graph(options))
-        return self._cpo[tag]
+    def macro_cpo(self, options: Optional[MacroSSOptions] = None) -> float:
+        if options is None:
+            options = MacroSSOptions()
+        if options not in self._cpo:
+            self._measure(options, self.macro_graph(options))
+        return self._cpo[options]
 
     def macro_autovec_cpo(self, profile: CompilerProfile) -> float:
         key = f"macro+autovec:{profile.name}"
@@ -115,12 +118,13 @@ class Variants:
             self._measure(key, graph)
         return self._cpo[key]
 
-    def _measure(self, tag: str, graph: StreamGraph) -> float:
-        if tag not in self._cpo:
-            self._cpo[tag] = cycles_per_output(graph, self.machine,
+    def _measure(self, key: Union[str, MacroSSOptions],
+                 graph: StreamGraph) -> float:
+        if key not in self._cpo:
+            self._cpo[key] = cycles_per_output(graph, self.machine,
                                                backend=self.backend,
                                                tracer=self.tracer)
-        return self._cpo[tag]
+        return self._cpo[key]
 
 
 def resolve_benchmarks(names: Optional[Sequence[str]] = None) -> List[str]:

@@ -17,8 +17,6 @@ them behind one seam:
 * :mod:`~repro.plan.optimizer` — branch-and-bound min-memory-under-
   makespan-bound (and the dual) over actor->core assignments;
 * :mod:`~repro.plan.pareto` — the memory-vs-throughput front per app;
-* :mod:`~repro.plan.costs` — the §3.5 horizontal/vertical cost
-  estimators shared with SIMD technique choice;
 * :mod:`~repro.plan.vectorize` — whole-program scalar-vs-macross choice
   per target.
 """
@@ -29,7 +27,6 @@ from .capacity import (
     steady_crossings,
 )
 from .context import PlanContext, build_plan_context, profile_actor_costs
-from .costs import firing_cost, horizontal_cost, mover_cost, vertical_cost
 from .evaluate import PlanEvaluation, evaluate_partition
 from .optimizer import (
     InfeasiblePlanError,
@@ -58,6 +55,5 @@ __all__ = [
     "Partition", "UnknownPartitionerError", "get_partitioner",
     "list_partitioners", "partition_contiguous", "partition_lpt",
     "register_partitioner",
-    "firing_cost", "horizontal_cost", "mover_cost", "vertical_cost",
     "VectorizationPlan", "plan_vectorization",
 ]

@@ -1,10 +1,10 @@
 """Target-aware vectorization choice.
 
-The per-actor horizontal/vertical arbitration (§3.5, priced through
-:mod:`repro.plan.costs`) happens inside compilation; this module lifts
-the remaining *whole-program* decision into the planning subsystem:
-given a target, is the macro-SIMDized build actually faster than the
-scalar one, and which technique did each actor end up with?  On an
+The per-split-join horizontal/vertical arbitration (§3.5, priced in
+:mod:`repro.simd.technique_choice`) happens inside compilation; this
+module lifts the remaining *whole-program* decision into the planning
+subsystem: given a target, is the macro-SIMDized build actually faster
+than the scalar one, and which technique did each actor end up with?  On an
 ``i7`` the answer is nearly always "macross"; a ``gpu-like`` target
 (expensive lane insert/extract, wide vectors) flips individual actors
 from horizontal to vertical and can flip pack/unpack-dominated programs
@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from ..graph.stream_graph import StreamGraph
+from ..runtime.executor import execute
 from ..simd.machine import MachineDescription, get_target
+from ..simd.pipeline import compile_graph
 
 __all__ = ["VectorizationPlan", "plan_vectorization"]
 
@@ -66,10 +68,6 @@ def plan_vectorization(graph: StreamGraph,
     cover a different amount of work than one scalar iteration — per-item
     throughput is the comparison the paper's figures use.
     """
-    # Deferred: repro.simd.pipeline imports repro.plan.costs.
-    from ..runtime.executor import execute
-    from ..simd.pipeline import compile_graph
-
     machine = get_target(target)
     compiled = compile_graph(graph, machine, options)
     scalar_run = execute(graph, machine=machine, iterations=iterations)

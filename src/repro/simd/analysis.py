@@ -27,7 +27,7 @@ from ..graph.actor import FilterSpec
 from ..ir import expr as E
 from ..ir import lvalue as L
 from ..ir import stmt as S
-from ..ir.visitors import iter_expr
+from ..ir.visitors import exprs_of_stmt, iter_all_exprs, iter_expr, iter_stmts
 from .machine import MachineDescription
 
 
@@ -51,7 +51,7 @@ def written_state_vars(spec: FilterSpec) -> Set[str]:
     """Names of state variables assigned in the work body."""
     state_names = {var.name for var in spec.state}
     written: Set[str] = set()
-    for stmt in _walk_stmts(spec.work_body):
+    for stmt in iter_stmts(spec.work_body):
         if isinstance(stmt, S.Assign):
             name = getattr(stmt.lhs, "name", None)
             if name in state_names:
@@ -78,7 +78,7 @@ def tainted_vars(body: S.Body) -> Set[str]:
     changed = True
     while changed:
         changed = False
-        for stmt in _walk_stmts(body):
+        for stmt in iter_stmts(body):
             target: str | None = None
             sources: Tuple[E.Expr, ...] = ()
             if isinstance(stmt, S.Assign):
@@ -109,7 +109,7 @@ def _expr_tainted(expr: E.Expr, tainted: Set[str]) -> bool:
 def _control_positions(body: S.Body):
     """Yield (description, expr) pairs for every control-sensitive
     position: if conditions, loop bounds, array subscripts."""
-    for stmt in _walk_stmts(body):
+    for stmt in iter_stmts(body):
         if isinstance(stmt, S.If):
             yield "if condition", stmt.cond
         elif isinstance(stmt, S.For):
@@ -118,7 +118,7 @@ def _control_positions(body: S.Body):
         elif isinstance(stmt, S.Assign):
             if isinstance(stmt.lhs, (L.ArrayLV, L.ArrayLaneLV)):
                 yield "array subscript", stmt.lhs.index
-        for top in _stmt_exprs(stmt):
+        for top in exprs_of_stmt(stmt):
             for node in iter_expr(top):
                 if isinstance(node, E.ArrayRead):
                     yield "array subscript", node.index
@@ -139,9 +139,7 @@ def analyze_filter(spec: FilterSpec, machine: MachineDescription) -> Verdict:
         reasons.append("stateful source actor")
 
     unsupported = sorted(
-        {node.func for stmt in _walk_stmts(spec.work_body)
-         for top in _stmt_exprs(stmt)
-         for node in iter_expr(top)
+        {node.func for node in iter_all_exprs(spec.work_body)
          if isinstance(node, E.Call)
          and not machine.supports_vector_call(node.func)})
     if unsupported:
@@ -164,19 +162,3 @@ def simdizable_filters(graph, machine: MachineDescription) -> dict[int, Verdict]
         verdicts[actor.id] = analyze_filter(actor.spec, machine)
     return verdicts
 
-
-# -- tiny local walkers (avoid importing visitors' heavier helpers) ------------
-
-def _walk_stmts(body: S.Body):
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, S.For):
-            yield from _walk_stmts(stmt.body)
-        elif isinstance(stmt, S.If):
-            yield from _walk_stmts(stmt.then_body)
-            yield from _walk_stmts(stmt.else_body)
-
-
-def _stmt_exprs(stmt: S.Stmt):
-    from ..ir.visitors import exprs_of_stmt
-    return exprs_of_stmt(stmt)

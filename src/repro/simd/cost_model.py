@@ -23,7 +23,7 @@ from ..ir import stmt as S
 from ..ir.visitors import children_of_expr, exprs_of_stmt
 from ..perf import events as ev
 from ..perf.counters import PerfCounters
-from .machine import MachineDescription, UnsupportedOperation, get_target
+from .machine import MachineDescription, get_target
 
 #: Public cost-model entry points accept either a description or a
 #: registered target name ("core-i7", "sve-like", …) resolved through the
@@ -108,13 +108,12 @@ def estimate_body_events(body: S.Body, simd_width: int) -> PerfCounters:
 
 def estimate_firing_cycles(spec: FilterSpec, machine: MachineLike
                            ) -> float:
+    """Modeled cycles of one firing of ``spec`` on ``machine``; raises
+    :class:`UnsupportedOperation` when the target cannot price an event."""
     machine = get_target(machine)
     counters = estimate_body_events(spec.work_body, machine.simd_width)
     counters.add(ev.FIRE)
-    try:
-        return counters.cycles(machine)
-    except UnsupportedOperation:
-        return math.inf
+    return counters.cycles(machine)
 
 
 def _estimate_into(body: S.Body, weight: float, out: PerfCounters,

@@ -12,15 +12,14 @@ Phases, in the paper's order:
 6. optimize tape boundaries (permutations / SAGU);
 7. (code generation lives in :mod:`repro.codegen`).
 
-Since the pass-manager refactor the driver is *data*: each phase is a
-:class:`repro.passes.Pass` class (see :mod:`repro.passes.algorithm1`) and
-:func:`compile_graph` is a thin wrapper that compiles
-:class:`MacroSSOptions` into a :class:`repro.passes.PassManager` pipeline
-and runs it over a shared :class:`repro.passes.CompilationContext`.
-Ablations are named pipelines (:data:`PIPELINES`): ``"single-only"`` is
-Figure 11's configuration, ``"no-tape"`` Figure 12's baseline, and custom
-pipelines can reorder, drop, or inject passes
-(``compile_graph(..., pipeline=["prepass.analysis", "tape.optimize"])``).
+Each phase is one module-level function over a private
+:class:`_Compilation` state; :func:`compile_graph` walks the
+``(name, function)`` table :data:`_PHASES` in that order, one ``"pass"``
+trace span per phase, and :data:`PASS_NAMES` is read off the same table.
+Ablations are named option presets (:data:`PIPELINES`): ``"single-only"``
+is Figure 11's configuration, ``"no-tape"`` Figure 12's baseline.  A
+disabled technique still runs its phase (as a no-op), so every compile
+trace carries the same eight spans.
 
 ``compile_graph`` returns the transformed graph plus a
 :class:`CompilationReport` recording every decision, which the tests pin
@@ -31,14 +30,26 @@ inspection.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..graph.stream_graph import StreamGraph
+from ..graph.validate import verify_invariants
 from ..obs.tracer import Tracer, ensure_tracer
-from ..passes.base import PassHook
-from .analysis import Verdict
+from ..schedule.rates import repetition_vector
+from ..schedule.scaling import simd_scaling_factor
+from .analysis import Verdict, simdizable_filters
+from .horizontal import MergeConflict, apply_horizontal
 from .machine import CORE_I7, MachineDescription
+from .segments import (
+    HorizontalCandidate,
+    find_horizontal_candidates,
+    find_vertical_segments,
+)
+from .single_actor import vectorize_actor
+from .tape_opt import optimize_tapes
+from .technique_choice import prefer_horizontal
+from .vertical import fuse_segment
 
 
 @dataclass(frozen=True)
@@ -93,21 +104,6 @@ class CompiledGraph:
     core_assignment: Dict[int, int] = field(default_factory=dict)
 
 
-#: Algorithm-1 pass names, in driver order.  Pass spans in a compile trace
-#: use exactly these names (category ``"pass"``), and ``pass_hook`` is
-#: invoked once per name with the work graph at that pass boundary.
-PASS_NAMES: Tuple[str, ...] = (
-    "prepass.analysis",
-    "segments.horizontal",
-    "segments.vertical",
-    "vertical.fuse",
-    "repetition.adjust",
-    "single_actor.vectorize",
-    "horizontal.apply",
-    "tape.optimize",
-)
-
-
 #: Options preset for the plain (non-SIMDized) baseline.
 SCALAR_OPTIONS = MacroSSOptions(single_actor=False, vertical=False,
                                 horizontal=False, tape_optimization=False)
@@ -156,14 +152,207 @@ def list_pipelines() -> List[str]:
     return list(PIPELINES)
 
 
+@dataclass
+class _Compilation:
+    """What the phases of one :func:`compile_graph` call share: the work
+    graph they rewrite in place, the report they fill in, and the
+    hand-offs from one phase to the next."""
+
+    work: StreamGraph
+    machine: MachineDescription
+    options: MacroSSOptions
+    report: CompilationReport
+    #: actor id -> core, when a multicore partition constrains compilation.
+    partition: Optional[Dict[int, int]]
+    core_of: Dict[int, int]
+    #: prepass.analysis: actor id -> SIMDizability verdict.
+    verdicts: Dict[int, Verdict] = field(default_factory=dict)
+    #: segments.horizontal: surviving split-join candidates.
+    candidates: List[HorizontalCandidate] = field(default_factory=list)
+    #: segments.horizontal: actor ids claimed by a horizontal candidate.
+    claimed_by_horizontal: Set[int] = field(default_factory=set)
+    #: segments.vertical: maximal vertical segments (lists of actor ids).
+    segments: List[List[int]] = field(default_factory=list)
+    #: vertical.fuse: (actor id, "vertical" | "single") pending
+    #: single-actor vectorization.
+    simdized_ids: List[Tuple[int, str]] = field(default_factory=list)
+
+
+def _prepass_analysis(c: _Compilation) -> Dict[str, Any]:
+    """Phase 1: per-filter SIMDizability verdicts (+ feedback-cycle veto)."""
+    verdicts = simdizable_filters(c.work, c.machine)
+    # Actors inside feedback cycles stay scalar: SIMDizing them would
+    # multiply their blocking factor by SW and starve the loop's delays.
+    for actor_id in c.work.actors_on_cycles():
+        if actor_id in verdicts and verdicts[actor_id].simdizable:
+            verdicts[actor_id] = Verdict.no("inside a feedback loop")
+    c.verdicts = verdicts
+    c.report.verdicts = {c.work.actors[aid].name: verdict
+                         for aid, verdict in verdicts.items()}
+    simdizable = sum(1 for v in verdicts.values() if v.simdizable)
+    return {"detail": f"{simdizable}/{len(verdicts)} filters SIMDizable"}
+
+
+def _horizontal_segments(c: _Compilation) -> Dict[str, Any]:
+    """Phase 2a: find split-join candidates for horizontal SIMDization and
+    arbitrate vertical/horizontal overlaps through the cost model (§3.5)."""
+    work, report = c.work, c.report
+    candidates: List[HorizontalCandidate] = []
+    if c.options.horizontal:
+        candidates = find_horizontal_candidates(work, c.machine)
+        cyclic = work.actors_on_cycles()
+        if cyclic:
+            candidates = [cand for cand in candidates
+                          if not (cand.all_actor_ids() & cyclic)]
+        if c.partition is not None:
+            candidates = [
+                cand for cand in candidates
+                if len({c.partition[aid] for aid in cand.all_actor_ids()
+                        | {cand.splitter_id, cand.joiner_id}}) == 1]
+        if c.options.vertical:
+            # §3.5: actors in both GV and GH — the cost model decides which
+            # technique each overlapping split-join gets.
+            base_reps = repetition_vector(work)
+            arbitrated = []
+            for cand in candidates:
+                if prefer_horizontal(work, cand, base_reps, c.machine):
+                    arbitrated.append(cand)
+                else:
+                    names = [work.actors[a].name
+                             for b in cand.branches for a in b]
+                    report.skipped_horizontal.append(
+                        f"{'/'.join(names)}: cost model chose vertical")
+            candidates = arbitrated
+        for cand in candidates:
+            c.claimed_by_horizontal |= cand.all_actor_ids()
+    c.candidates = candidates
+    return {"detail": f"{len(candidates)} candidate(s), "
+                      f"{len(report.skipped_horizontal)} skipped"}
+
+
+def _vertical_segments(c: _Compilation) -> Dict[str, Any]:
+    """Phase 2b: maximal vertical pipelines over the unclaimed actors, and
+    scalar-decision bookkeeping for non-SIMDizable filters."""
+    segments: List[List[int]] = []
+    if c.options.single_actor:
+        segments = find_vertical_segments(
+            c.work, c.verdicts, exclude=c.claimed_by_horizontal,
+            same_group=c.partition)
+        if not c.options.vertical:
+            segments = [[aid] for segment in segments for aid in segment]
+    c.segments = segments
+    # Record why non-SIMDizable filters stay scalar.
+    for aid, verdict in c.verdicts.items():
+        if not verdict.simdizable and aid not in c.claimed_by_horizontal:
+            c.report.decisions[c.work.actors[aid].name] = \
+                "scalar:" + "; ".join(verdict.reasons)
+    return {"detail": f"{len(segments)} segment(s)"}
+
+
+def _vertical_fuse(c: _Compilation) -> Dict[str, Any]:
+    """Phase 3a: fuse multi-actor vertical segments into coarse actors."""
+    work, report = c.work, c.report
+    reps = repetition_vector(work)
+    for segment in c.segments:
+        names = [work.actors[aid].name for aid in segment]
+        if len(segment) >= 2:
+            coarse_id = fuse_segment(work, segment, reps)
+            if c.partition is not None:
+                c.core_of[coarse_id] = c.core_of[segment[0]]
+            report.vertical_segments.append(names)
+            coarse_name = work.actors[coarse_id].name
+            for name in names:
+                report.decisions[name] = f"vertical:{coarse_name}"
+            c.simdized_ids.append((coarse_id, "vertical"))
+        else:
+            report.decisions[names[0]] = "single"
+            c.simdized_ids.append((segment[0], "single"))
+    return {"detail": f"{len(report.vertical_segments)} segment(s) fused"}
+
+
+def _repetition_adjust(c: _Compilation) -> Dict[str, Any]:
+    """Phase 3b: Equation (1) — the factor M the repetition vector must be
+    scaled by so every SIMDizable actor's repetition is a multiple of SW.
+
+    Recomputing the repetition vector after vectorization applies it
+    implicitly (the vectorized rates force it); M is recorded for
+    reporting and tests.
+    """
+    reps_after_fusion = repetition_vector(c.work)
+    c.report.scaling_factor = simd_scaling_factor(
+        c.machine.simd_width, reps_after_fusion,
+        [aid for aid, _ in c.simdized_ids])
+    return {"detail": f"M={c.report.scaling_factor}",
+            "scaling_factor": c.report.scaling_factor,
+            "steady_reps": sum(reps_after_fusion.values())}
+
+
+def _single_actor_vectorize(c: _Compilation) -> Dict[str, Any]:
+    """Phase 4: single-actor SIMDization of standalone and coarse actors."""
+    for actor_id, _kind in c.simdized_ids:
+        actor = c.work.actors[actor_id]
+        actor.spec = vectorize_actor(actor.spec, c.machine.simd_width)
+    return {"detail": f"{len(c.simdized_ids)} actor(s) vectorized"}
+
+
+def _horizontal_apply(c: _Compilation) -> Dict[str, Any]:
+    """Phase 5: horizontally SIMDize the surviving split-join candidates."""
+    work, report = c.work, c.report
+    for cand in c.candidates:
+        flat_names = [work.actors[aid].name
+                      for branch in cand.branches for aid in branch]
+        before = set(work.actors)
+        try:
+            apply_horizontal(work, cand, c.machine)
+        except MergeConflict as exc:
+            report.skipped_horizontal.append(
+                f"{'/'.join(flat_names)}: {exc}")
+            for name in flat_names:
+                report.decisions[name] = \
+                    f"scalar:horizontal merge failed ({exc})"
+            continue
+        if c.partition is not None:
+            region_core = c.core_of[cand.splitter_id]
+            for new_id in set(work.actors) - before:
+                c.core_of[new_id] = region_core
+        report.horizontal_splitjoins.append(flat_names)
+        for name in flat_names:
+            report.decisions[name] = "horizontal"
+    return {"detail": f"{len(report.horizontal_splitjoins)} "
+                      f"split-join(s) merged"}
+
+
+def _tape_optimize(c: _Compilation) -> Dict[str, Any]:
+    """Phase 6: per-boundary tape strategy selection (§3.4)."""
+    if c.options.tape_optimization:
+        c.report.tape_strategies = optimize_tapes(c.work, c.machine)
+    return {"detail": f"{len(c.report.tape_strategies)} tape(s) optimized"}
+
+
+#: Algorithm 1, in driver order: (pass name, phase).
+_PHASES: Tuple[Tuple[str, Callable[[_Compilation], Dict[str, Any]]], ...] = (
+    ("prepass.analysis", _prepass_analysis),
+    ("segments.horizontal", _horizontal_segments),
+    ("segments.vertical", _vertical_segments),
+    ("vertical.fuse", _vertical_fuse),
+    ("repetition.adjust", _repetition_adjust),
+    ("single_actor.vectorize", _single_actor_vectorize),
+    ("horizontal.apply", _horizontal_apply),
+    ("tape.optimize", _tape_optimize),
+)
+
+#: Algorithm-1 pass names, in driver order.  Pass spans in a compile trace
+#: use exactly these names (category ``"pass"``).
+PASS_NAMES: Tuple[str, ...] = tuple(name for name, _ in _PHASES)
+
+
 def compile_graph(graph: StreamGraph,
                   machine: MachineDescription = CORE_I7,
                   options: Optional[MacroSSOptions] = None,
                   partition: Optional[Dict[int, int]] = None,
                   *,
                   tracer: Optional[Tracer] = None,
-                  pass_hook: Optional[PassHook] = None,
-                  pipeline=None,
+                  pipeline: Optional[str] = None,
                   verify_each_pass: bool = False
                   ) -> CompiledGraph:
     """Run macro-SIMDization on a flat graph (non-destructive).
@@ -173,38 +362,20 @@ def compile_graph(graph: StreamGraph,
     scheduler of §5) and the result carries the per-actor core assignment.
 
     ``tracer`` records one span per Algorithm-1 pass (wall time,
-    before/after graph stats, decisions taken); ``pass_hook`` is called
-    after every pass with the work graph — the hook the pass-invariant
-    tests and debugging tools attach to.  Both default to no-ops.
+    before/after graph stats, decisions taken); it defaults to a no-op.
 
-    ``pipeline`` selects what runs:
-
-    * ``None`` — the standard eight Algorithm-1 passes gated by
-      ``options`` (the pre-refactor behaviour);
-    * a **name** from :data:`PIPELINES` (``"scalar"``, ``"single-only"``,
-      ``"no-tape"``, ``"full"``, …) — the named ablation preset
-      *overrides* ``options``;
-    * a **sequence** of pass names and/or :class:`repro.passes.Pass`
-      instances — a custom pipeline, run in the given order;
-    * a :class:`repro.passes.PassManager` — used as-is.
+    ``pipeline`` names an ablation preset from :data:`PIPELINES`
+    (``"scalar"``, ``"single-only"``, ``"no-tape"``, ``"full"``, …); it
+    *overrides* ``options``.  Unknown names raise :class:`KeyError` with a
+    did-you-mean.
 
     ``verify_each_pass`` re-validates the work graph (structure, balanced
     positive repetition vector, live tape endpoints) after every pass and
-    raises :class:`repro.passes.PassVerificationError` naming the pass
+    raises :class:`repro.graph.stream_graph.GraphError` naming the pass
     that broke it.
     """
-    # Lazy import: repro.passes imports this module's types for context
-    # annotations; deferring breaks the cycle for either import order.
-    from ..passes.base import CompilationContext
-    from ..passes.manager import PassManager
-
-    if isinstance(pipeline, str):
+    if pipeline is not None:
         options = get_pipeline_options(pipeline)
-        manager = PassManager.default()
-    elif pipeline is None:
-        manager = PassManager.default()
-    else:
-        manager = PassManager.coerce(pipeline)
     if options is None:
         # ``MacroSSOptions`` is a frozen preset, so a shared default would
         # be harmless today — but a ``None`` default keeps the signature
@@ -215,20 +386,25 @@ def compile_graph(graph: StreamGraph,
     tracer = ensure_tracer(tracer)
     work = graph.clone()
     report = CompilationReport(machine=machine.name, options=options)
-    ctx = CompilationContext(
-        source=graph, work=work, machine=machine, options=options,
-        report=report, tracer=tracer, partition=partition,
-        core_of=dict(partition or {}), pass_hook=pass_hook)
+    state = _Compilation(work=work, machine=machine, options=options,
+                         report=report, partition=partition,
+                         core_of=dict(partition or {}))
 
     with tracer.span("compile_graph", cat="driver", graph=graph.name,
                      machine=machine.name, simd_width=machine.simd_width,
-                     options={k: getattr(options, k) for k in
-                              ("single_actor", "vertical", "horizontal",
-                               "tape_optimization")}) as compile_span:
-        manager.run(ctx, verify_each_pass=verify_each_pass)
+                     options=asdict(options)) as compile_span:
+        for name, phase in _PHASES:
+            with tracer.span(name, cat="pass",
+                             actors_before=len(work.actors),
+                             tapes_before=len(work.tapes)) as span:
+                extra = phase(state)
+                span.add(actors_after=len(work.actors),
+                         tapes_after=len(work.tapes), **extra)
+                if verify_each_pass:
+                    verify_invariants(work, f"after pass {name!r}")
         if partition is not None:
-            ctx.core_of = {aid: core for aid, core in ctx.core_of.items()
-                           if aid in work.actors}
+            state.core_of = {aid: core for aid, core in state.core_of.items()
+                             if aid in work.actors}
         compile_span.add(decisions=len(report.decisions),
                          scaling_factor=report.scaling_factor)
-    return CompiledGraph(work, report, ctx.core_of)
+    return CompiledGraph(work, report, state.core_of)

@@ -10,7 +10,11 @@ from repro.experiments.harness import (
 )
 from repro.experiments.tables import format_table
 from repro.simd.machine import CORE_I7
-from repro.simd.pipeline import SINGLE_ACTOR_ONLY
+from repro.simd.pipeline import (
+    SCALAR_OPTIONS,
+    SINGLE_ACTOR_ONLY,
+    MacroSSOptions,
+)
 
 
 class TestResolve:
@@ -40,13 +44,22 @@ class TestVariants:
         first = v.macro_cpo()
         second = v.macro_cpo()
         assert first == second
-        assert "macro" in v._cpo
+        assert MacroSSOptions() in v._cpo
 
     def test_distinct_tags_distinct_measurements(self):
         v = Variants("BitonicSort", CORE_I7)
         full = v.macro_cpo()
-        single = v.macro_cpo(SINGLE_ACTOR_ONLY, tag="single")
+        single = v.macro_cpo(SINGLE_ACTOR_ONLY)
         assert single >= full  # single-actor only can't beat full MacroSS
+
+    def test_cache_keyed_by_options_not_by_call_order(self):
+        """A second options value is measured, not served the first one's
+        cached number: the scalar preset compiles to the scalar graph."""
+        v = Variants("FFT", CORE_I7)
+        full = v.macro_cpo()
+        scalar = v.macro_cpo(SCALAR_OPTIONS)
+        assert scalar == v.baseline_cpo()
+        assert scalar > full
 
     def test_baseline_positive(self):
         assert Variants("FFT", CORE_I7).baseline_cpo() > 0

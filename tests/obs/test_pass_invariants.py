@@ -1,4 +1,5 @@
-"""Pass-invariant tests built on the driver's ``pass_hook``.
+"""Pass-invariant tests built on ``compile_graph(..., verify_each_pass=True)``
+and the driver's per-pass trace spans.
 
 After *every* Algorithm-1 pass — not just at the end of compilation —
 the work graph must
@@ -7,9 +8,11 @@ the work graph must
 * admit a balanced repetition vector with positive repetitions;
 * keep every actor reachable from the actor table (no dangling tapes).
 
-This pins the property that each pass leaves the graph in a consistent
-state, so a future pass reordering or a new pass inserted mid-driver
-cannot silently rely on a later pass repairing its breakage.
+``verify_each_pass`` runs exactly that check
+(:func:`repro.graph.validate.invariant_problems`) at every pass boundary
+and raises naming the pass, so a future pass reordering or a new pass
+inserted mid-driver cannot silently rely on a later pass repairing its
+breakage.
 
 Parametrized over every registered application × {Core-i7, Core-i7+SAGU,
 NEON}.
@@ -21,8 +24,7 @@ import pytest
 
 from repro.apps import BENCHMARKS
 from repro.experiments.harness import scalar_graph
-from repro.graph.validate import collect_problems
-from repro.schedule.rates import check_balanced, repetition_vector
+from repro.obs import Tracer
 from repro.simd import (
     CORE_I7,
     CORE_I7_SAGU,
@@ -40,49 +42,34 @@ MACHINES = {
 ALL_APPS = sorted(BENCHMARKS)
 
 
-def assert_invariants(graph, context: str) -> None:
-    problems = collect_problems(graph)
-    assert not problems, f"{context}: graph invalid: {problems}"
-    reps = repetition_vector(graph)  # raises RateError on inconsistency
-    check_balanced(graph, reps)
-    assert set(reps) == set(graph.actors), \
-        f"{context}: repetition vector does not cover all actors"
-    bad = {aid: rep for aid, rep in reps.items() if rep < 1}
-    assert not bad, f"{context}: non-positive repetitions {bad}"
-    for tape in graph.tapes.values():
-        assert tape.src in graph.actors and tape.dst in graph.actors, \
-            f"{context}: tape {tape.id} references a removed actor"
+def _verified_compile(app, machine):
+    """Compile with per-pass verification; return the result and the
+    ``cat="pass"`` spans, in driver order."""
+    tracer = Tracer()
+    compiled = compile_graph(scalar_graph(app), machine, tracer=tracer,
+                             verify_each_pass=True)
+    return compiled, tracer.spans(cat="pass")
 
 
 @pytest.mark.parametrize("mach_label", sorted(MACHINES))
 @pytest.mark.parametrize("app", ALL_APPS)
 def test_every_pass_preserves_invariants(app, mach_label):
-    machine = MACHINES[mach_label]
-    seen = []
-
-    def hook(pass_name, work):
-        seen.append(pass_name)
-        assert_invariants(work, f"{app}/{mach_label} after {pass_name}")
-
-    compiled = compile_graph(scalar_graph(app), machine, pass_hook=hook)
-    # The hook fires once per Algorithm-1 pass, in driver order.
-    assert tuple(seen) == PASS_NAMES
-    # And the final graph satisfies the same invariants.
-    assert_invariants(compiled.graph, f"{app}/{mach_label} final")
+    _, spans = _verified_compile(app, MACHINES[mach_label])
+    # One verified pass boundary per Algorithm-1 pass, in driver order;
+    # the last one (tape.optimize) checks the graph compile_graph returns.
+    assert tuple(span.name for span in spans) == PASS_NAMES
 
 
 @pytest.mark.parametrize("app", ["FMRadio", "DCT"])
 def test_hook_sees_intermediate_not_final_graph(app):
-    """The hook observes the *work* graph mid-flight: early passes see the
-    pre-SIMDization actor set even when later passes shrink it."""
-    sizes = {}
-
-    def hook(pass_name, work):
-        sizes[pass_name] = len(work.actors)
-
-    compiled = compile_graph(scalar_graph(app), CORE_I7, pass_hook=hook)
-    assert sizes["prepass.analysis"] == len(scalar_graph(app).actors)
-    assert sizes["tape.optimize"] == len(compiled.graph.actors)
+    """Pass spans record the *work* graph mid-flight: the first pass sees
+    the pre-SIMDization actor set even when later passes shrink it."""
+    compiled, spans = _verified_compile(app, CORE_I7)
+    by_name = {span.name: span.args for span in spans}
+    assert by_name["prepass.analysis"]["actors_before"] == \
+        len(scalar_graph(app).actors)
+    assert by_name["tape.optimize"]["actors_after"] == \
+        len(compiled.graph.actors)
 
 
 def test_rate_consistency_survives_equation1_rescaling():
@@ -93,9 +80,5 @@ def test_rate_consistency_survives_equation1_rescaling():
         reports = compile_graph(scalar_graph(app), CORE_I7).report
         if reports.scaling_factor > 1:
             hit.append(app)
-
-            def hook(pass_name, work):
-                check_balanced(work, repetition_vector(work))
-
-            compile_graph(scalar_graph(app), CORE_I7, pass_hook=hook)
+            _verified_compile(app, CORE_I7)
     assert hit, "expected at least one app with Equation (1) scaling > 1"

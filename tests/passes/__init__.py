@@ -1,1 +1,1 @@
-"""Tests for the pass-manager architecture (repro.passes)."""
+"""Tests for the Algorithm-1 driver (repro.simd.pipeline.compile_graph)."""

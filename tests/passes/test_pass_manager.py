@@ -1,10 +1,10 @@
-"""Pass-manager mechanics: construction, ordering, errors, verification.
+"""Algorithm-1 driver mechanics: pass order, preset errors, verification.
 
-The equivalence of pipelines with the options-gated driver is covered in
-``test_pipeline_equivalence.py``; this file pins the machinery itself —
-custom pipelines run in the given order, malformed pipelines fail loudly
-at construction time, and ``verify_each_pass`` catches a pass that leaves
-the work graph invalid, naming the culprit.
+The equivalence of the configuration spellings is covered in
+``test_pipeline_equivalence.py``; this file pins the driver itself —
+the eight passes run in :data:`PASS_NAMES` order, an unknown preset name
+fails loudly, and ``verify_each_pass`` catches a pass that leaves the
+work graph invalid, naming the culprit.
 """
 
 from __future__ import annotations
@@ -12,131 +12,38 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.harness import scalar_graph
-from repro.passes import (
-    DEFAULT_PASS_NAMES,
-    CompilationContext,
-    Pass,
-    PassBase,
-    PassManager,
-    PassVerificationError,
-    PipelineError,
-)
+from repro.graph.stream_graph import GraphError
+from repro.obs import Tracer
 from repro.simd import CORE_I7, PASS_NAMES, compile_graph
 
 
-class RecordingPass(PassBase):
-    """A no-op custom pass that records each invocation."""
-
-    def __init__(self, name: str = "custom.record") -> None:
-        self.name = name
-        self.calls = 0
-
-    def run(self, ctx: CompilationContext):
-        self.calls += 1
-        return {"detail": "recorded"}
-
-
-class NonApplicablePass(PassBase):
-    name = "custom.never"
-
-    def __init__(self) -> None:
-        self.ran = False
-
-    def applies(self, ctx: CompilationContext) -> bool:
-        return False
-
-    def run(self, ctx: CompilationContext):
-        self.ran = True
-
-
-class BreakingPass(PassBase):
-    """Deliberately corrupts the work graph: drops an actor but leaves its
-    tapes dangling."""
-
-    name = "custom.break"
-
-    def run(self, ctx: CompilationContext):
-        victim = next(aid for aid in ctx.work.actors
-                      if ctx.work.in_tapes(aid) or ctx.work.out_tapes(aid))
-        del ctx.work.actors[victim]
-        return {"detail": "broke the graph"}
+def _drop_an_actor(work, machine):
+    """Stands in for the tape phase: deliberately corrupts the work graph
+    by dropping an actor and leaving its tapes dangling."""
+    victim = next(aid for aid in work.actors
+                  if work.in_tapes(aid) or work.out_tapes(aid))
+    del work.actors[victim]
+    return {}
 
 
 class TestConstruction:
     def test_default_matches_pass_names(self):
-        manager = PassManager.default()
-        assert manager.pass_names == PASS_NAMES == DEFAULT_PASS_NAMES
-        assert len(manager) == 8
-
-    def test_from_names_preserves_order(self):
-        names = ["tape.optimize", "prepass.analysis"]
-        manager = PassManager.from_names(names)
-        assert manager.pass_names == tuple(names)
-
-    def test_unknown_pass_name(self):
-        with pytest.raises(PipelineError) as exc:
-            PassManager.from_names(["prepass.analysis", "tape.optimise"])
-        message = str(exc.value)
-        assert "tape.optimise" in message
-        assert "did you mean 'tape.optimize'" in message
-        assert "prepass.analysis" in message  # registry listing
-
-    def test_duplicate_pass_rejected(self):
-        with pytest.raises(PipelineError, match="duplicate"):
-            PassManager.from_names(["prepass.analysis", "prepass.analysis"])
-
-    def test_coerce_rejects_bare_string(self):
-        with pytest.raises(PipelineError, match="bare string"):
-            PassManager.coerce("prepass.analysis")
-
-    def test_coerce_mixes_names_and_instances(self):
-        custom = RecordingPass()
-        manager = PassManager.coerce(["prepass.analysis", custom])
-        assert manager.pass_names == ("prepass.analysis", "custom.record")
-        assert isinstance(manager.passes[1], RecordingPass)
-
-    def test_coerce_passes_manager_through(self):
-        manager = PassManager.default()
-        assert PassManager.coerce(manager) is manager
-
-    def test_non_pass_object_rejected(self):
-        with pytest.raises(PipelineError, match="Pass protocol"):
-            PassManager([object()])
-
-    def test_passbase_satisfies_protocol(self):
-        assert isinstance(RecordingPass(), Pass)
+        tracer = Tracer()
+        compile_graph(scalar_graph("RunningExample"), CORE_I7, tracer=tracer)
+        spans = tracer.spans(cat="pass")
+        assert tuple(span.name for span in spans) == PASS_NAMES
+        assert len(PASS_NAMES) == 8
 
 
 class TestCustomPipelines:
-    def test_custom_order_drives_hook_sequence(self):
-        names = ["prepass.analysis", "repetition.adjust", "tape.optimize"]
-        trail = []
-        compile_graph(scalar_graph("RunningExample"), CORE_I7,
-                      pipeline=names,
-                      pass_hook=lambda name, g: trail.append(name))
-        assert trail == names
-
-    def test_injected_custom_pass_runs(self):
-        custom = RecordingPass()
-        compile_graph(scalar_graph("RunningExample"), CORE_I7,
-                      pipeline=["prepass.analysis", custom])
-        assert custom.calls == 1
-
-    def test_non_applicable_pass_skipped_but_hooked(self):
-        """applies()=False skips run(), yet span/hook still fire so pass
-        trails stay uniform."""
-        skipped = NonApplicablePass()
-        trail = []
-        compile_graph(scalar_graph("RunningExample"), CORE_I7,
-                      pipeline=["prepass.analysis", skipped],
-                      pass_hook=lambda name, g: trail.append(name))
-        assert not skipped.ran
-        assert trail == ["prepass.analysis", "custom.never"]
-
     def test_unknown_name_in_compile_graph_pipeline(self):
-        with pytest.raises(PipelineError):
+        """A pass name is not a pipeline: only presets are accepted."""
+        with pytest.raises(KeyError) as exc:
             compile_graph(scalar_graph("RunningExample"), CORE_I7,
-                          pipeline=["prepass.analyze"])
+                          pipeline="prepass.analyze")
+        message = str(exc.value)
+        assert "unknown pipeline 'prepass.analyze'" in message
+        assert "single-only" in message  # preset listing
 
 
 class TestVerification:
@@ -145,18 +52,19 @@ class TestVerification:
                                  verify_each_pass=True)
         assert compiled.report.decisions
 
-    def test_broken_pass_is_named(self):
-        with pytest.raises(PassVerificationError) as exc:
+    def test_broken_pass_is_named(self, monkeypatch):
+        monkeypatch.setattr("repro.simd.pipeline.optimize_tapes",
+                            _drop_an_actor)
+        with pytest.raises(GraphError,
+                           match="after pass 'tape.optimize'") as exc:
             compile_graph(scalar_graph("RunningExample"), CORE_I7,
-                          pipeline=["prepass.analysis", BreakingPass(),
-                                    "tape.optimize"],
                           verify_each_pass=True)
-        assert exc.value.pass_name == "custom.break"
-        assert exc.value.problems
-        assert "custom.break" in str(exc.value)
+        assert "removed actor" in str(exc.value)
 
-    def test_without_verification_breakage_goes_unnoticed_here(self):
-        """Same broken pipeline, no verify flag: compile_graph itself does
-        not re-validate (that is exactly what the flag buys)."""
-        compile_graph(scalar_graph("RunningExample"), CORE_I7,
-                      pipeline=["prepass.analysis", BreakingPass()])
+    def test_without_verification_breakage_goes_unnoticed_here(
+            self, monkeypatch):
+        """Same broken pass, no verify flag: compile_graph itself does not
+        re-validate (that is exactly what the flag buys)."""
+        monkeypatch.setattr("repro.simd.pipeline.optimize_tapes",
+                            _drop_an_actor)
+        compile_graph(scalar_graph("RunningExample"), CORE_I7)

@@ -1,11 +1,11 @@
 """Pipeline routes are equivalent to the options-gated driver.
 
-``compile_graph`` accepts four pipeline spellings — ``options`` only
-(``pipeline=None``), the explicit default pass-name list, a prebuilt
-:class:`PassManager`, and named ablation presets.  All must produce the
-same report and the same compiled graph, on every registered application
-and every registered target (Core-i7, Core-i7+SAGU, NEON-like, SVE-like),
-or the refactor silently changed the compiler.
+``compile_graph`` picks its configuration one of three ways — the
+default (neither ``options`` nor ``pipeline``), a named ablation preset
+(``pipeline="full"``, …), or an explicit :class:`MacroSSOptions`.  The
+spellings of one configuration must produce the same report and the
+same compiled graph, on every registered application and every
+registered target, or a route silently changed the compiler.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ import pytest
 
 from repro.apps import BENCHMARKS
 from repro.experiments.harness import scalar_graph
-from repro.passes import PassManager
 from repro.runtime import execute
 from repro.simd import (
-    PASS_NAMES,
     PIPELINES,
     MacroSSOptions,
     compile_graph,
@@ -56,13 +54,12 @@ def report_fingerprint(compiled):
 def test_explicit_default_pipeline_matches_options_route(app, target):
     machine = get_target(target)
     source = scalar_graph(app)
-    via_options = compile_graph(source, machine)
-    via_names = compile_graph(source, machine, pipeline=list(PASS_NAMES))
-    via_manager = compile_graph(source, machine,
-                                pipeline=PassManager.default())
-    expected = report_fingerprint(via_options)
-    assert report_fingerprint(via_names) == expected
-    assert report_fingerprint(via_manager) == expected
+    via_default = compile_graph(source, machine)
+    via_name = compile_graph(source, machine, pipeline="full")
+    via_options = compile_graph(source, machine, options=MacroSSOptions())
+    expected = report_fingerprint(via_default)
+    assert report_fingerprint(via_name) == expected
+    assert report_fingerprint(via_options) == expected
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINES))
@@ -81,10 +78,10 @@ def test_named_pipeline_matches_its_options_preset(name):
 def test_pipeline_routes_execute_identically(app, target):
     machine = get_target(target)
     source = scalar_graph(app)
-    via_options = compile_graph(source, machine)
-    via_names = compile_graph(source, machine, pipeline=list(PASS_NAMES))
-    ref = execute(via_options.graph, machine=machine, iterations=2)
-    alt = execute(via_names.graph, machine=machine, iterations=2)
+    via_default = compile_graph(source, machine)
+    via_name = compile_graph(source, machine, pipeline="full")
+    ref = execute(via_default.graph, machine=machine, iterations=2)
+    alt = execute(via_name.graph, machine=machine, iterations=2)
     assert alt.outputs == ref.outputs
     assert alt.init_outputs == ref.init_outputs
 

@@ -1,5 +1,7 @@
 """Tests for the vertical-vs-horizontal cost-model arbitration (§3.5)."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps.running_example import build
@@ -13,13 +15,17 @@ from repro.graph import (
     splitjoin,
 )
 from repro.ir import WorkBuilder
+from repro.perf import events as ev
 from repro.runtime import execute
 from repro.schedule import repetition_vector
 from repro.simd import compile_graph
 from repro.simd.machine import CORE_I7
 from repro.simd.segments import find_horizontal_candidates
-from repro.plan.costs import horizontal_cost, vertical_cost
-from repro.simd.technique_choice import prefer_horizontal
+from repro.simd.technique_choice import (
+    horizontal_cost,
+    prefer_horizontal,
+    vertical_cost,
+)
 
 from ..conftest import make_ramp_source
 
@@ -76,6 +82,19 @@ class TestArbitration:
         ch = horizontal_cost(g, candidate, reps, CORE_I7)
         cv = vertical_cost(g, candidate, reps, CORE_I7)
         assert 0 < cv < ch
+
+    def test_unpriceable_side_forces_horizontal(self):
+        """A target that cannot price a pack cannot price the horizontal
+        side; the arbiter then leaves the decision to horizontal (which
+        falls back to scalar if it fails) rather than picking vertical."""
+        g = _deep_chain_graph(depth=12)
+        (candidate,) = find_horizontal_candidates(g, CORE_I7)
+        reps = repetition_vector(g)
+        no_pack = dataclasses.replace(
+            CORE_I7, prices={event: price for event, price
+                             in CORE_I7.prices.items() if event != ev.PACK})
+        assert not prefer_horizontal(g, candidate, reps, CORE_I7)
+        assert prefer_horizontal(g, candidate, reps, no_pack)
 
 
 class TestEndToEnd:

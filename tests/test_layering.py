@@ -1,6 +1,7 @@
 """Static layering check: ``repro.runtime`` sits below the multicore,
-serving and planning layers and must not import them, and
-``repro.plan`` sits below the multicore runtime.
+serving and planning layers and must not import them, ``repro.plan``
+sits below the multicore runtime, and the compiler (``repro.simd``) sits
+below the planner.
 
 ``import repro`` pulls every subpackage in, so ``sys.modules`` cannot show
 a layering leak — the imports are read off the AST instead, function-level
@@ -60,3 +61,9 @@ def test_plan_does_not_import_multicore():
     """The planner prices partitions; the thread runtime that executes
     them sits on top of it, never underneath."""
     assert _edges_into("plan", ("repro.multicore",)) == set()
+
+
+def test_simd_does_not_import_plan():
+    """The planner compiles graphs and reads SIMD prices; the compiler
+    never reaches up into the planner."""
+    assert _edges_into("simd", ("repro.plan",)) == set()
