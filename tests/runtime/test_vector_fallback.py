@@ -189,13 +189,26 @@ class TestBuildDecisions:
         with pytest.raises(Unvectorizable):
             _build(spec)
 
-    def test_pow_falls_back(self):
+    def test_pow_and_atan2_vectorize(self):
+        # Intrinsics numpy does not reproduce exactly run inside the batch
+        # through the interpreter's own callables.
         from repro.ir import call
+        from repro.runtime.interpreter import Interpreter
         b = WorkBuilder()
-        b.push(call("pow", b.pop(), 2.0))
+        x = b.let("x", b.pop())
+        b.push(call("pow", call("abs", x) + 1e-9, 4.0 / 3.0)
+               + call("atan2", x, 1.5))
         spec = FilterSpec("p", pop=1, push=1, work_body=b.build())
-        with pytest.raises(Unvectorizable):
-            _build(spec)
+        data = [0.25 * k - 3.0 for k in range(17)]
+        rt, ref = _runtime(spec, data), _runtime(spec, data)
+        kernel = build_batch_kernel(rt, spec, False)
+        assert ("pycall", "pow") in {ins[:2] for ins in kernel.instrs}
+        assert kernel.run(rt, len(data)) is True
+        interp = Interpreter(ref)
+        for _ in data:
+            interp.run_work(spec.work_body)
+        assert rt.output.drain() == ref.output.drain()
+        assert dict(rt.counters.events) == dict(ref.counters.events)
 
 
 class TestRuntimeRouting:
