@@ -43,7 +43,10 @@ from ..ir.types import FLOAT, INT, Scalar
 FILTER_KINDS = ("map", "peeking", "stateful", "prework")
 
 #: Post-transform functions, keyed by element type.
-FLOAT_FUNCS = ("abs", "sqrt_abs", "sin", "cos", "floor", "neg", "halve")
+#: ``pow43`` and ``atan2h`` are intrinsics numpy does not reproduce
+#: bit-exactly, so the vector backend evaluates them per element.
+FLOAT_FUNCS = ("abs", "sqrt_abs", "sin", "cos", "floor", "neg", "halve",
+               "pow43", "atan2h")
 INT_FUNCS = ("abs", "neg")
 
 
@@ -193,6 +196,10 @@ def _apply_funcs(expr: E.Expr, funcs: Tuple[str, ...], dtype: str) -> E.Expr:
             expr = -expr
         elif func == "halve":
             expr = expr * (0.5 if dtype == "float" else 1)
+        elif func == "pow43":
+            expr = call("pow", call("abs", expr) + 1e-9, 4.0 / 3.0)
+        elif func == "atan2h":
+            expr = call("atan2", expr, 1.5)
         else:
             expr = call(func, expr)
     return expr

@@ -64,10 +64,11 @@ class KernelCache:
     def __init__(self) -> None:
         self._kernels: Dict[Tuple[S.Body, Specialization], Kernel] = {}
         self.stats = CacheStats()
-        # The parallel runtime sets up per-core actors concurrently, so
-        # lookup/compile/insert must be atomic.  Setup-time only (kernels
-        # are looked up once per actor, never per firing), so the lock is
-        # off every hot path.
+        # Per-core set-up runs sequentially, but ``resolve_backend`` hands
+        # every thread of the process the same backend (and so the same
+        # cache), so lookup/compile/insert must be atomic.  Set-up time
+        # only (kernels are looked up once per actor, never per firing),
+        # so the lock is off every hot path.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:

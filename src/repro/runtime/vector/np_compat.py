@@ -12,11 +12,12 @@ Rather than hard-coding a platform-specific whitelist, this module runs a
 one-time **calibration probe** at import: each candidate intrinsic is
 evaluated over a few thousand deterministic sample points through both
 ``math.<f>`` and ``np.<f>``; only intrinsics that agree bit-for-bit on
-every probe point are admitted to the vector fast path.  Actors whose
-bodies use a non-admitted intrinsic fall back to the compiled backend per
-actor, so a platform with a divergent ``np.sin`` stays *correct* — it
-just vectorizes fewer actors.  (``pow`` is excluded unconditionally: its
-domain-error behaviour differs structurally, not just in rounding.)
+every probe point are admitted to the numpy fast path.  A non-admitted
+intrinsic still batches, but the kernel maps the interpreter's own
+callable over the column instead, so a platform with a divergent
+``np.sin`` stays *correct* — it just runs that call at Python speed.
+(``pow`` is never a candidate: its domain-error behaviour differs
+structurally, not just in rounding.)
 
 numpy itself is an optional extra (``pip install .[vector]``).  When it
 is missing, ``HAVE_NUMPY`` is ``False`` and resolving ``backend="vector"``
@@ -40,7 +41,8 @@ __all__ = ["HAVE_NUMPY", "np", "exact_intrinsics", "NP_MATH"]
 #: Intrinsics considered for vectorization, with their numpy counterpart
 #: and the scalar reference from :mod:`repro.runtime.values`.  ``min`` /
 #: ``max`` / ``abs`` / casts are handled structurally in the kernel
-#: builder; ``pow`` is never vectorized (domain errors differ).
+#: builder; ``pow`` always maps the interpreter's callable (domain errors
+#: differ).
 _CANDIDATES: Dict[str, Tuple[Callable[..., Any], Callable[[float], float]]] = {}
 
 #: Probe domains chosen to cover each intrinsic's legal range densely.
