@@ -16,8 +16,8 @@ directly.  It works on a tiny declarative AST (``FilterDesc`` /
 
 The description language intentionally covers the paper's interesting
 axes: stateless maps, deep-peeking FIR-style filters, stateful
-accumulators (horizontal SIMDization's selling point), prework-built
-coefficient tables, duplicate and round-robin split-joins with unequal
+accumulators and delay lines (horizontal SIMDization's selling point),
+prework-built coefficient tables, bitwise integer mixing, duplicate and round-robin split-joins with unequal
 weights, isomorphic arms (horizontal candidates), int/float mixes, and
 rates that force Equation (1) repetition scaling — fed by a ramp or by a
 linear congruential source ``s ← (a·s + c) % m`` (the recurrence the
@@ -36,18 +36,19 @@ from ..graph.builtins import duplicate_splitter, roundrobin_joiner, \
     roundrobin_splitter
 from ..graph.structure import Program, StreamNode, pipeline, splitjoin
 from ..ir import expr as E
-from ..ir.builder import WorkBuilder, call
+from ..ir.builder import ArrayHandle, WorkBuilder, call
 from ..ir.types import FLOAT, INT, Scalar
 
 #: Filter body shapes the generator can emit.
-FILTER_KINDS = ("map", "peeking", "stateful", "prework")
+FILTER_KINDS = ("map", "peeking", "stateful", "prework", "delay")
 
 #: Post-transform functions, keyed by element type.
 #: ``pow43`` and ``atan2h`` are intrinsics numpy does not reproduce
 #: bit-exactly, so the vector backend evaluates them per element.
 FLOAT_FUNCS = ("abs", "sqrt_abs", "sin", "cos", "floor", "neg", "halve",
                "pow43", "atan2h")
-INT_FUNCS = ("abs", "neg")
+#: ``bitmix`` shifts, xors and multiplies under masks: the int64 lane.
+INT_FUNCS = ("abs", "neg", "bitmix")
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,10 @@ class FilterDesc:
     * ``stateful`` — running accumulator in persistent state (scalar
       paths must keep it scalar; horizontal arms may vectorize it);
     * ``prework`` — ``init`` fills a read-only coefficient table that the
-      work body multiplies against (FIR-table idiom; stays SIMDizable).
+      work body multiplies against (FIR-table idiom; stays SIMDizable);
+    * ``delay`` — a delay line: a state array of ``peek_extra + 1`` slots
+      behind a ring cursor, read (scaled) before each pop overwrites the
+      slot — the vector backend's ring lane.
     """
 
     name: str
@@ -200,6 +204,9 @@ def _apply_funcs(expr: E.Expr, funcs: Tuple[str, ...], dtype: str) -> E.Expr:
             expr = call("pow", call("abs", expr) + 1e-9, 4.0 / 3.0)
         elif func == "atan2h":
             expr = call("atan2", expr, 1.5)
+        elif func == "bitmix":
+            mixed = (expr ^ (expr << 5)) & 0xFFFF
+            expr = ((mixed * 40503) & 0xFFFFF) ^ (mixed >> 3)
         else:
             expr = call(func, expr)
     return expr
@@ -240,6 +247,20 @@ def materialize_filter(d: FilterDesc) -> FilterSpec:
             else:
                 b.set(s, s * float(d.decay) + b.pop())
         result = s
+    elif d.kind == "delay":
+        # An int line keeps float slots (state arrays start as floats).
+        size = d.peek_extra + 1
+        state = (StateVar("buf", FLOAT, size, 0.0), StateVar("t", INT, 0, 0))
+        buf, t = ArrayHandle("buf"), b.var("t")
+        acc = b.let("acc", zero, ty)
+        for _ in range(d.pop):
+            slot = t % size
+            held = buf[slot] if dtype == "float" else call("int", buf[slot])
+            b.set(acc, acc + (held if scale == 1 else held * scale))
+            b.set(buf[slot], b.pop() if dtype == "float"
+                  else call("float", b.pop()))
+            b.set(t, t + 1)
+        result = acc
     elif d.kind == "prework":
         # init fills a read-only table; work convolves against it.
         state = (StateVar("w", FLOAT, d.pop, 0.0),)

@@ -5,7 +5,8 @@ pair uniquely identifies a program — the property the corpus and the CLI's
 ``--seed`` flag rely on.  The generator goes deliberately beyond the
 hand-rolled hypothesis strategies in ``tests/properties/``:
 
-* stateful and deep-peeking filters, prework-built coefficient tables;
+* stateful, delay-line and deep-peeking filters, prework-built
+  coefficient tables, bitwise integer mixing;
 * nested pipelines and split-joins (one nesting level);
 * duplicate and round-robin splitters with *unequal* weights;
 * isomorphic split-join arms sized to the SIMD width, to trigger
@@ -74,8 +75,8 @@ def random_filter(rng: random.Random, names: _NameGen, dtype: str,
                   *, allow_dtype_flip: bool = True,
                   max_rate: int = 5) -> FilterDesc:
     kind = rng.choices(
-        ("map", "peeking", "stateful", "prework"),
-        weights=(5, 2, 2, 1 if dtype == "float" else 0))[0]
+        ("map", "peeking", "stateful", "prework", "delay"),
+        weights=(5, 2, 2, 1 if dtype == "float" else 0, 2))[0]
     out_dtype = dtype
     if allow_dtype_flip and rng.random() < 0.2:
         out_dtype = "int" if dtype == "float" else "float"
@@ -109,7 +110,8 @@ def _isomorphic_splitjoin(rng: random.Random, names: _NameGen,
     # One template per level; arms share everything except constants.
     templates = []
     for _ in range(depth):
-        kind = rng.choices(("map", "stateful"), weights=(3, 2))[0]
+        kind = rng.choices(("map", "stateful", "delay"),
+                           weights=(3, 2, 2))[0]
         rate = rng.randint(1, 3)
         funcs = _random_funcs(rng, dtype)
         templates.append((kind, rate, funcs))
@@ -121,6 +123,7 @@ def _isomorphic_splitjoin(rng: random.Random, names: _NameGen,
                 name=names("h"),
                 kind=kind,
                 pop=rate, push=rate,
+                peek_extra=2 if kind == "delay" else 0,
                 dtype=dtype, out_dtype=dtype,
                 scale=rng.choice(scales),
                 decay=rng.choice(_DECAYS),

@@ -21,7 +21,8 @@ from ..errors import InterpreterError
 from ..interpreter import ActorRuntime
 from ..movers import make_mover
 from .cache import KernelCache
-from .canon import TypedCanonical, is_param_slot, typed_canonicalize
+from .canon import (TypedCanonical, exact_consts, is_param_slot,
+                    typed_canonicalize)
 from .compiler import Frame, Kernel, Specialization
 from .shapes import shape_of_state
 
@@ -82,22 +83,27 @@ class CompiledBackend:
 
     def __init__(self, cache: Optional[KernelCache] = None) -> None:
         self.cache = cache if cache is not None else KernelCache()
-        # Canonicalisation memo: specs are immutable value objects and
-        # bodies hashable tuples, so re-executing the same graph (or the
-        # same spec instantiated many times) never re-walks the IR.
-        self._canon: dict[S.Body, TypedCanonical] = {}
+        # Canonicalisation memo (body -> (body built from, canonical
+        # form)): specs are immutable value objects and bodies hashable
+        # tuples, so re-executing the same graph (or the same spec
+        # instantiated many times) never re-walks the IR.
+        self._canon: dict[S.Body, Tuple[S.Body, TypedCanonical]] = {}
 
     def _canonicalize(self, body: S.Body) -> TypedCanonical:
-        canon = self._canon.get(body)
-        if canon is None:
+        entry = self._canon.get(body)
+        # An entry built from another, equal body object serves only if
+        # every constant's type and sign match as well (see exact_consts).
+        if entry is None or (entry[0] is not body and
+                             exact_consts(entry[0]) != exact_consts(body)):
             canon = typed_canonicalize(body)
             for value in canon.consts:
                 if is_param_slot(value):
                     raise InterpreterError(
                         f"unbound parameter {value.name!r} reached the "
                         f"compiled backend (bind_params first)")
-            self._canon[body] = canon
-        return canon
+            entry = (body, canon)
+            self._canon[body] = entry
+        return entry[1]
 
     def make_filter_actor(self, runtime: ActorRuntime, spec: FilterSpec,
                           in_edge: Optional[TapeEdge],

@@ -16,13 +16,15 @@ per-instance constant tuple that the shared kernel is instantiated with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from ...ir import expr as E
 from ...ir import stmt as S
 from ...ir.structhash import _SLOT as SLOT_PREFIX
-from ...ir.visitors import rewrite_body_exprs, rewrite_body_stmts
+from ...ir.visitors import (iter_all_exprs, iter_stmts, rewrite_body_exprs,
+                           rewrite_body_stmts)
 
 
 class _ParamSlot:
@@ -98,3 +100,29 @@ def typed_canonicalize(body: S.Body) -> TypedCanonical:
 
     canon = rewrite_body_stmts(canon, abstract_array_inits)
     return TypedCanonical(canon, tuple(consts))
+
+
+def _exact(value: Any) -> Any:
+    """A constant's type, plus its sign if it is a float (``-0.0``)."""
+    if type(value) is tuple:
+        return tuple(map(_exact, value))
+    if type(value) is float:
+        return (float, math.copysign(1.0, value))
+    return type(value)
+
+
+_CONSTS = (E.IntConst, E.FloatConst, E.BoolConst, E.VectorConst)
+
+
+def exact_consts(body: S.Body) -> Tuple[Any, ...]:
+    """Every constant's type and float sign in ``body``, in walk order.
+
+    IR ``==`` holds ``FloatConst(0.0)`` equal to ``FloatConst(-0.0)`` and
+    ``VectorConst((1, 2))`` to ``VectorConst((1.0, 2.0))``, so a memo keyed
+    by body equality must also compare this before it serves an entry
+    built from another, equal body object."""
+    out = [_exact(e.values if isinstance(e, E.VectorConst) else e.value)
+           for e in iter_all_exprs(body) if isinstance(e, _CONSTS)]
+    out.extend(_exact(stmt.init) for stmt in iter_stmts(body)
+               if isinstance(stmt, S.DeclArray) and stmt.init is not None)
+    return tuple(out)

@@ -11,12 +11,12 @@ the refusal, for every later actor and execution with that key — the
 vector twin of the compiled backend's :class:`KernelCache`.  Actors whose
 work body vectorizes execute ``n`` consecutive firings as a handful of
 numpy array operations through ``run_work_batch``; actors that do not
-(state outside the modular-affine class ``s ← (a·s + c) % m``,
-data-dependent control flow, ...) fall back to the compiled path per
-firing, and the decision — ``"vector"``,
-``"vector:scan"`` (the kernel runs a modular state recurrence as an int64
-jump-ahead scan) or ``"fallback: <reason>"`` — is recorded per actor and
-surfaced through ``ExecutionResult.vectorized`` and the obs layer.
+(data-dependent control flow, array indices read from the stream, ...)
+fall back to the compiled path per firing, and the decision —
+``"vector"``, ``"vector:scan"`` (the kernel runs a modular state
+recurrence as an int64 jump-ahead scan) or ``"fallback: <reason>"`` — is
+recorded per actor and surfaced through ``ExecutionResult.vectorized``
+and the obs layer.
 
 Movers (splitters/joiners) batch too, through the ``n``-firing closures
 :mod:`repro.runtime.movers` derives from each mover's lane map.
@@ -32,16 +32,14 @@ whether the batched path actually ran; the executor aggregates that into
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from ...graph.actor import FilterSpec
 from ...graph.stream_graph import TapeEdge
-from ...ir import expr as E, stmt as S
-from ...ir.visitors import iter_all_exprs, iter_stmts
 from ..errors import StreamRuntimeError
 from ..compiled.backend import CompiledActor, CompiledBackend
 from ..compiled.cache import KernelCache
+from ..compiled.canon import exact_consts
 from ..interpreter import ActorRuntime
 from ..movers import BatchFn, make_batch_mover
 from ..tape import NdTape
@@ -154,12 +152,11 @@ class VectorBackend(CompiledBackend):
                tuple((name, _shape(value))
                      for name, value in runtime.state.items()))
         entry = self._batch_kernels.get(key)
-        # IR ``==`` holds 0.0 equal to -0.0 and 1 to 1.0, but the builder
-        # bakes each constant in as it is: an entry built from another,
-        # equal body object serves only if every constant's type and sign
-        # match as well.
+        # The builder bakes each constant in as it is: an entry built from
+        # another, equal body object serves only if every constant's type
+        # and sign match as well.
         if entry is None or (entry[0] is not body and
-                             _exact_consts(entry[0]) != _exact_consts(body)):
+                             exact_consts(entry[0]) != exact_consts(body)):
             try:
                 kernel = build_batch_kernel(runtime, spec, in_vector)
                 scanned = any(av.m is not None for av in kernel.aff_vars)
@@ -183,23 +180,3 @@ def _shape(value: Any) -> Any:
         return tuple(map(_shape, value))
     return type(value)
 
-
-def _exact(value: Any) -> Any:
-    """A constant's type, plus its sign if it is a float (``-0.0``)."""
-    if type(value) is tuple:
-        return tuple(map(_exact, value))
-    if type(value) is float:
-        return (float, math.copysign(1.0, value))
-    return type(value)
-
-
-def _exact_consts(body: S.Body) -> Tuple[Any, ...]:
-    """:func:`_exact` of every constant in ``body``, in walk order."""
-    out = [_exact(e.values if isinstance(e, E.VectorConst) else e.value)
-           for e in iter_all_exprs(body) if isinstance(e, _CONSTS)]
-    out.extend(_exact(stmt.init) for stmt in iter_stmts(body)
-               if isinstance(stmt, S.DeclArray) and stmt.init is not None)
-    return tuple(out)
-
-
-_CONSTS = (E.IntConst, E.FloatConst, E.BoolConst, E.VectorConst)

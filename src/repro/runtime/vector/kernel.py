@@ -20,34 +20,58 @@ to the interpreter.  The builder therefore refuses (raises
 closure path) anything whose batch semantics it cannot prove exact:
 
 * data-dependent control flow (``If`` on a tape value, non-constant peek
-  offsets, vector branch conditions);
-* state that is neither a never-written array/vector read nor a scalar
-  whose every in-firing update folds to one **modular-affine map**
-  ``s ← (a·s + c) % m`` of build-time constants.  Two classes batch:
-  the *affine induction* ``s ← s + c`` (``a = 1``, no modulus; ``int``,
-  ``bool`` or dyadic ``float``), evaluated in closed form
-  ``base + k·c``; and the *modular recurrence* on an ``int`` state with
-  integer ``a ≥ 0``, ``c ≥ 0``, ``0 < m ≤ 2**31`` — LCG sources, and
-  modular counters ``(ph + 1) % 8`` as its ``a = 1`` case.  Composition
-  of such maps is associative, so the firing's updates compose into one
-  per-firing map ``F``, ``F⁰ … Fⁿ⁻¹`` come from a cached log-doubling
-  *jump-ahead table*, and every in-firing read is one
-  ``(A_j·S + C_j) % m`` column over the firing-start states ``S``.  It
-  is exact because nothing is ever negative — the IR's C-style
-  truncated ``%`` and numpy's floored one coincide — and every int64
-  intermediate ``A·S + C`` stays below ``2**62 + 2**31 < 2**63`` (all of
-  ``A``, ``C``, ``S`` are below ``m ≤ 2**31``); the column then enters
-  the float64 register file below ``2**53``.  The run-time guard is
-  ``type(s) is int and 0 <= s < m``.  Refused by name: negative
-  coefficients, ``m > 2**31``, multiplicative growth without a modulus
-  (``s ← 3·s + 1``), state times state, float recurrences
-  (``acc·0.9 + x``) and accumulators that fold stream data
-  (``acc ← acc + pop()``);
-* integer arithmetic it cannot bound below ``2**53`` (float64 carries
-  integers exactly only up to that limit — a *bounds* table tracks the
-  max magnitude of every column and emits runtime *checks*);
-* bitwise/shift operators, overlapping strided writes, pushes of aliased
-  vector values.
+  offsets, vector branch conditions) and array indices derived from
+  stream data;
+* integer arithmetic it cannot bound below ``2**53`` in the float64
+  register file (float64 carries integers exactly only up to that limit
+  — a *bounds* table tracks the max magnitude of every column and emits
+  runtime *checks*);
+* overlapping strided writes, pushes of aliased vector values, state
+  whose type would change under its update.
+
+Scalar state takes one of two lanes.  A variable whose every in-firing
+update folds to one **modular-affine map** ``s ← (a·s + c) % m`` of
+build-time constants runs in closed form: the *affine induction*
+``s ← s + c`` (``a = 1``, no modulus; ``int``, ``bool`` or dyadic
+``float``) as ``base + k·c``, and the *modular recurrence* on an ``int``
+state with integer ``a ≥ 0``, ``c ≥ 0``, ``0 < m ≤ 2**31`` — LCG
+sources, and ring cursors ``(ph + 1) % 8`` as its ``a = 1`` case — as an
+int64 *jump-ahead* scan: composition of such maps is associative, so the
+firing's updates compose into one per-firing map ``F``, ``F⁰ … Fⁿ⁻¹``
+come from a cached log-doubling table, and every in-firing read is one
+``(A_j·S + C_j) % m`` column over the firing-start states ``S``.  It is
+exact because nothing is ever negative — the IR's C-style truncated
+``%`` and numpy's floored one coincide — and every int64 intermediate
+``A·S + C`` stays below ``2**62 + 2**31 < 2**63``; the run-time guard is
+``type(s) is int and 0 <= s < m``.  Every other scalar update (a float
+recurrence ``acc·0.9 + x``, an accumulator folding stream data
+``acc ← acc + pop()``, state times state, negative coefficients) runs on
+the **sequential scan**: one ``seqscan`` instruction loops once over the
+batch in firing order, applying the update chain with the interpreter's
+own ``BINARY_IMPLS`` / ``UNARY_IMPLS`` / intrinsic callables to the
+precomputed operand columns, and yields the state's value wherever a
+column needs it plus the final state.  Python semantics make it exact by
+construction; an integer value that must enter a column is checked below
+``2**53``, and an error raised in the loop aborts the batch.
+
+A state array the body writes is a **ring** when every index is a
+constant or an integer state form (a ring cursor).  Its ``ring`` gather
+takes the int64 slot column of every access in program order; a read's
+source is the latest earlier write to its slot (the running maximum of
+the write numbers over the accesses stably sorted by slot), or the
+batch-start contents, and the read is one ``np.take`` over
+``contents ++ written values`` (per lane for vector elements).  The final
+contents are the same gather at batch end.  A written value that depends
+on a ring read — a recurrence through the array — refuses.
+
+Bitwise operators run in an **int64 lane**.  ``+ - * & | ^ <<`` are ring
+ops, exact modulo ``2**64``: a ``w64`` register holds such a value, and
+it becomes exact again under ``& c`` with a constant ``0 <= c < 2**63``
+(DES's ``(rotated * 2654435761) & MASK``).  ``& | ^ >>`` of exact
+operands stay exact.  Any other use of a ``w64`` register refuses at
+build time, and so does a shift count that is not a constant in
+``[0, 63]``; an exact int64 column enters the float64 file checked below
+``2**53``.
 
 Math intrinsics whose numpy implementation is bit-identical to the
 ``math``-module reference on this platform (:mod:`.np_compat`) run as one
@@ -57,8 +81,10 @@ own callable over the batch's columns, so it is exact by construction.  A
 domain error or a non-finite result aborts the batch, whose per-firing
 replay then raises the interpreter's exception at the same firing.
 
-The kernel is a plain register program: one instruction per register, a
-flat ``(code, a, b)`` table for the registers' magnitude bounds, and a
+The kernel is a plain register program: one instruction per register
+(ordered so each follows the registers it reads — the ring gathers and
+the scan are read by registers made before them in the walk), a flat
+``(code, a, b)`` table for the registers' magnitude bounds, and a
 per-instruction list of the registers whose last use it is (freed as the
 batch runs, so an intermediate column does not outlive its readers).  It
 holds no closures and no per-run state, so one kernel may be kept by the
@@ -73,11 +99,11 @@ the compiled path.  Runtime surprises inside array evaluation raise
 committed to tapes, state, or counters until every array has been
 computed).
 
-Three deliberately injectable defects, ``_MUT_READ_SHIFT`` (off-by-one
+Four deliberately injectable defects, ``_MUT_READ_SHIFT`` (off-by-one
 tail: shifts every slab read), ``_MUT_SWAP_SUB`` (wrong operand order on
-subtraction) and ``_MUT_SCAN_SHIFT`` (off-by-one in the jump-ahead
-index), exist for the fuzz mutation tests: the differential oracle must
-catch and shrink all three.
+subtraction), ``_MUT_SCAN_SHIFT`` (off-by-one in the jump-ahead index)
+and ``_MUT_RING_SHIFT`` (off-by-one in a ring's last-writer index), exist
+for the fuzz mutation tests: the differential oracle must catch all four.
 """
 
 from __future__ import annotations
@@ -85,17 +111,21 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from itertools import repeat
+from operator import itemgetter
+from typing import (Any, Callable, Dict, FrozenSet, Hashable, List, Optional,
+                    Tuple)
 
 from ...graph.actor import FilterSpec
 from ...ir import expr as E
 from ...ir import lvalue as L
 from ...ir import stmt as S
 from ...ir.types import Vector
+from ...ir.visitors import iter_stmts
 from ...perf import events as ev
 from ..interpreter import ActorRuntime
-from ..values import BINARY_IMPLS, apply_binary, apply_math, apply_unary, \
-    math_impl
+from ..values import BINARY_IMPLS, UNARY_IMPLS, apply_binary, apply_math, \
+    apply_unary, math_impl
 from .np_compat import EXACT_INTRINSICS, NP_MATH, np
 
 __all__ = ["Unvectorizable", "BatchKernel", "build_batch_kernel"]
@@ -119,6 +149,9 @@ _MOD_LIMIT = 2 ** 31
 #: many firings from the carried state, so a cached table stays 64 KiB.
 _SCAN_CHUNK = 4096
 
+#: The int64 lane: Python ints in ``[-2**63, 2**63)`` are exact in it.
+_I64_MIN, _I64_SPAN = -2 ** 63, 2 ** 64
+
 #: Abstract-walk step budget (guards against huge unrolled loops).
 _MAX_WALK_STEPS = 20000
 
@@ -133,6 +166,9 @@ _MUT_SWAP_SUB = False
 #: When non-zero, firing ``k`` of a scanned recurrence reads
 #: ``F^(k+shift)(s)`` — an off-by-one in the jump-ahead index.
 _MUT_SCAN_SHIFT = 0
+#: When non-zero, a ring read takes the write ``shift`` places before its
+#: last writer in batch order — an off-by-one in the last-writer index.
+_MUT_RING_SHIFT = 0
 
 
 class Unvectorizable(Exception):
@@ -146,6 +182,15 @@ class Unvectorizable(Exception):
 class _Abort(Exception):
     """Raised at batch time, before anything is committed: replay the batch
     firing-by-firing through the fallback path."""
+
+
+class _NeedScan(Unvectorizable):
+    """Raised at build time: state variable ``name`` is not modular-affine;
+    :func:`build_batch_kernel` rebuilds with it on the sequential scan."""
+
+    def __init__(self, name: str, reason: str) -> None:
+        super().__init__(reason)
+        self.name = name
 
 
 class _SharedArrays:
@@ -242,12 +287,133 @@ def _pycall(fn: Callable[..., Any], args: Tuple[Any, ...], n: int) -> Any:
     return res
 
 
+def _wrap64(v: int) -> int:
+    """``v`` reduced into the int64 range, modulo 2**64."""
+    return (v - _I64_MIN) % _I64_SPAN + _I64_MIN
+
+
+def _i64(x: Any) -> Any:
+    """An int-lane operand as int64: a column of exact integers (float64
+    registers carry them below 2**53), or one wrapped scalar."""
+    if isinstance(x, np.ndarray):
+        return x if x.dtype == np.int64 else x.astype(np.int64)
+    return np.int64(_wrap64(int(x)))
+
+
+def _ring_gather(ring: "_Ring", init: Any, slots: List[Any],
+                 values: List[Any], n: int) -> Tuple[List[Any], Any]:
+    """Every read of one state ring over ``n`` firings, and its final
+    contents.
+
+    ``slots`` holds each access's slot column in firing order, ``values``
+    each write's lane columns.  A read's source is the latest earlier
+    write to its slot — the running maximum of the write numbers over the
+    accesses stably sorted by slot — or the batch-start contents ``init``;
+    the read is then one ``np.take`` over ``init ++ written values``."""
+    length, per, width = ring.length, len(ring.is_write), ring.width
+    p = ring.n_writes
+    slot = np.empty((n, per), dtype=np.int64)
+    for e, col in enumerate(slots):
+        slot[:, e] = col
+    # One trailing read per slot: the final contents.
+    flat = np.concatenate([slot.ravel(), np.arange(length)])
+    if flat.min() < 0 or flat.max() >= length:
+        raise _Abort
+    # Write number + 1 of every write access; reads carry 0.
+    wnum = np.zeros((n, per), dtype=np.int64)
+    wnum[:, ring.write_pos] = (np.arange(n)[:, None] * p
+                               + np.arange(1, p + 1))
+    big = n * p + 1
+    order = np.argsort(flat, kind="stable")
+    base = flat[order] * big
+    key = base + np.concatenate([wnum.ravel(), np.zeros(length, np.int64)]
+                                )[order]
+    src = np.empty_like(flat)
+    src[order] = np.maximum.accumulate(key) - base
+    if _MUT_RING_SHIFT:
+        src = np.where(src > 0, np.maximum(src - _MUT_RING_SHIFT, 0), src)
+    gidx = np.where(src > 0, src + (length - 1), flat)
+    # Row k holds firing k's written lanes, write by write.
+    written = np.empty((n, len(values)))
+    for j, col in enumerate(values):
+        written[:, j] = col
+    table = np.concatenate([init, written.reshape(
+        (n * p, width) if width else n * p)])
+    at = gidx[:n * per].reshape(n, per)
+    reads = [np.take(table, at[:, e], axis=0) for e in ring.read_pos]
+    return reads, np.take(table, gidx[n * per:], axis=0)
+
+
+def _py_values(col: Any, tag: str, int_mode: bool, n: int) -> List[Any]:
+    """A register as the interpreter's Python values, one per firing."""
+    as_int = tag in ("int", "i64") or (tag == "slab" and int_mode)
+    if not isinstance(col, np.ndarray):
+        v = bool(col) if tag == "bool" else int(col) if as_int \
+            else float(col)
+        return [v] * n
+    if as_int and col.dtype != np.int64:
+        col = col.astype(np.int64)
+    return col.tolist()
+
+
+def _scan_column(values: List[Any], tag: str, int_mode: bool) -> Any:
+    """Emitted scan values as a register column; an integer column must
+    stay below 2**53 to enter the float64 register file exactly."""
+    if tag == "bool":
+        return np.array(values, dtype=bool)
+    if tag == "float" or (tag == "slab" and not int_mode):
+        return np.array(values, dtype=np.float64)
+    try:
+        col = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise _Abort from None
+    if not (-_EXACT_LIMIT < col.min() and col.max() < _EXACT_LIMIT):
+        raise _Abort
+    return col.astype(np.float64)
+
+
+def _run_scan(scan: "_Scan", env: List[Any], cols: List[List[Any]],
+              n: int) -> Tuple[Tuple[Any, ...], List[List[Any]]]:
+    """Fire the scanned state's update chain ``n`` times in one Python
+    loop over precomputed operand columns, with the interpreter's own
+    scalar callables: exact by construction.  ``env`` holds the states,
+    then the constants, then one slot per column and per step result.
+    Returns the final states and, per emitted slot, its value at the end
+    of every firing.  A raised error aborts the batch; its per-firing
+    replay raises the interpreter's exception at the same firing."""
+    steps, emits, carry = scan.steps, scan.emits, scan.carry
+    nv = len(carry)
+    begin = nv + len(scan.const_ops)
+    end = begin + len(cols)
+    grab = itemgetter(*emits) if emits else None
+    hand = itemgetter(*carry)
+    out: List[Any] = []
+    try:
+        for row in (zip(*cols) if cols else repeat((), n)):
+            env[begin:end] = row
+            for fn, a, b, d in steps:
+                env[d] = fn(env[a]) if b < 0 else fn(env[a], env[b])
+            if grab is not None:
+                out.append(grab(env))
+            if nv == 1:
+                env[0] = env[carry[0]]
+            else:
+                env[:nv] = hand(env)
+    except (ArithmeticError, ValueError, TypeError):
+        raise _Abort from None
+    if len(emits) == 1:
+        return tuple(env[:nv]), [out]
+    return tuple(env[:nv]), [list(c) for c in zip(*out)]
+
+
 def _eval_bounds(rows: Tuple[Tuple[str, int, int], ...],
                  inputs: List[float]) -> List[float]:
     """Evaluate a kernel's bound table: ``rows[i] = (code, a, b)`` is the
     magnitude bound of register ``i`` over the slots ``a`` and ``b`` of
     the returned list, which holds the registers' bounds followed by
-    ``inputs`` (the window, state and constant bounds)."""
+    ``inputs`` (the window, state, ring and constant bounds).  ``maxn``
+    takes a tuple of slots as ``a``; ``bits`` bounds ``& | ^`` (operands
+    in ``[-2**L, 2**L)`` keep the result there, and ``2**L <= 2·max``)."""
     bv = [0.0] * len(rows)
     bv += inputs
     for i, (code, a, b) in enumerate(rows):
@@ -257,6 +423,10 @@ def _eval_bounds(rows: Tuple[Tuple[str, int, int], ...],
             bv[i] = bv[a] + bv[b]
         elif code == "mul":
             bv[i] = bv[a] * bv[b]
+        elif code == "maxn":
+            bv[i] = max(bv[j] for j in a)
+        elif code == "bits":
+            bv[i] = 2.0 * max(bv[a], bv[b])
         else:
             bv[i] = max(bv[a], bv[b])
     return bv
@@ -298,18 +468,87 @@ class _AffineVar:
         self.why = ""                 # why the last unfoldable use was one
 
 
+class _Ring:
+    """Build-time record of one state array the body writes: a ring of
+    ``length`` slots (``width`` lanes each, 0 for scalars) of ``etype``.
+    ``slots`` holds each access's slot operand in firing order; after the
+    walk ``write_pos`` / ``read_pos`` index the writes and reads among
+    them, and ``reg`` is the register of the kernel's ``ring`` gather."""
+
+    __slots__ = ("name", "length", "width", "etype", "slots", "is_write",
+                 "values", "n_writes", "write_pos", "read_pos", "reg")
+
+    def __init__(self, name: str, length: int, width: int,
+                 etype: type) -> None:
+        self.name = name
+        self.length = length
+        self.width = width
+        self.etype = etype
+        self.slots: List[Tuple[Any, ...]] = []
+        self.is_write: List[bool] = []
+        self.values: List[Tuple[Any, ...]] = []
+        self.n_writes = 0
+        self.write_pos: Any = None
+        self.read_pos: Tuple[int, ...] = ()
+        self.reg = -1
+
+    def contents(self, value: Any) -> Optional[Tuple[Any, float]]:
+        """The batch-start contents as a float64 array and their bound, or
+        None when the state no longer has the built shape and type (an
+        int element must also stay below 2**53)."""
+        etype, width = self.etype, self.width
+        if type(value) is not list or len(value) != self.length:
+            return None
+        flat = value
+        if width:
+            flat = []
+            for row in value:
+                if type(row) is not list or len(row) != width:
+                    return None
+                flat += row
+        if any(type(x) is not etype for x in flat):
+            return None
+        if etype is int:
+            bound = max(map(abs, flat))
+            if bound >= _EXACT_LIMIT:
+                return None
+            return np.array(value, dtype=np.float64), float(bound)
+        return np.array(value, dtype=np.float64), _INF
+
+
+class _Scan:
+    """Build-time record of the state the sequential scan carries: the
+    variables (``names``, exact ``types``), the update chain ``steps`` of
+    ``(callable, a, b, dest)`` env slots (``b`` is -1 for one argument),
+    the slots whose per-firing value is ``emits``,
+    the slots that carry into the next firing, the constant operands and
+    the tags of the column operands.  ``reg`` is the ``seqscan`` register."""
+
+    __slots__ = ("names", "types", "steps", "emits", "carry", "const_ops",
+                 "col_tags", "reg")
+
+    def __init__(self, **kw: Any) -> None:
+        for name in self.__slots__:
+            setattr(self, name, kw[name])
+
+
 class BatchKernel:
     """A compiled batch program: validate, evaluate arrays, commit.
 
-    Register ``i`` is the result of ``instrs[i]``, tagged ``rtags[i]``,
-    bounded by row ``bounds[i]`` of the bound table (over the constant
-    bounds ``bound_consts``), and ``frees[i]`` lists the registers whose
-    last reader is ``instrs[i]``.  ``run`` keeps nothing on ``self``."""
+    Register ``i`` is the result of ``instrs[i]``, tagged ``rtags[i]``
+    (``float``; ``int`` / ``bool`` held exactly in float64; ``slab``, a
+    tape value typed by the window; ``i64`` / ``w64``, an int64 column
+    exact / exact modulo 2**64), bounded by row ``bounds[i]`` of the bound
+    table (over the constant bounds ``bound_consts``), and ``frees[i]``
+    lists the registers whose last reader is ``instrs[i]``.  ``rings`` and
+    ``scan`` describe the state lanes, ``window_mode`` the window type a
+    batch requires.  ``run`` keeps nothing on ``self``."""
 
     __slots__ = ("a_in", "a_out", "need", "in_vector", "width", "instrs",
                  "rtags", "bounds", "bound_consts", "frees", "checks",
                  "records", "state_reads", "sread_types", "aff_vars",
-                 "events", "internal_used", "n_regs")
+                 "rings", "scan", "window_mode", "events", "internal_used",
+                 "n_regs")
 
     def __init__(self, **kw: Any) -> None:
         for name in self.__slots__:
@@ -396,6 +635,9 @@ class BatchKernel:
                     return False
         else:
             window = []
+        if need and self.window_mode is not None \
+                and int_mode != (self.window_mode == "int"):
+            return False
 
         # -- state prefetch + affine guards ------------------------------------
         svals: List[Any] = []
@@ -470,11 +712,26 @@ class BatchKernel:
                 bound = 1.0
             aff_base[av.name] = sv
             aff_bound[av.name] = bound
+        ring_init: List[Any] = []
+        ring_bound: List[float] = []
+        for ring in self.rings:
+            got = ring.contents(rt.state.get(ring.name))
+            if got is None:
+                return False
+            ring_init.append(got[0])
+            ring_bound.append(got[1])
+        scan_states: List[Any] = []
+        if self.scan is not None:
+            for name, expect in zip(self.scan.names, self.scan.types):
+                sv = rt.state.get(name, _Abort)
+                if type(sv) is not expect:
+                    return False
+                scan_states.append(sv)
 
         # -- bounds + exactness checks -----------------------------------------
         bvals = _eval_bounds(self.bounds, [
             m_window, *sv_abs, *[aff_bound[av.name] for av in self.aff_vars],
-            *self.bound_consts])
+            *ring_bound, *self.bound_consts])
         for idx, mode in self.checks:
             if mode == "int" and not int_mode:
                 continue
@@ -543,6 +800,28 @@ class BatchKernel:
                         else:
                             col = (_arange(n) * float(delta)
                                    + float(base + d))
+                    elif op == "ringout":
+                        col = regs[ins[1][1]][0][ins[2]]
+                        if ins[3] >= 0:
+                            col = col[:, ins[3]]
+                    elif op == "scanout":
+                        col = _scan_column(regs[ins[1][1]][1][ins[2]],
+                                           ins[3], int_mode)
+                    elif op == "ring":
+                        rid = ins[1]
+                        col = _ring_gather(
+                            self.rings[rid], ring_init[rid],
+                            [self._op(a, regs, svals) for a in ins[2]],
+                            [self._op(a, regs, svals) for a in ins[3]], n)
+                    elif op == "seqscan":
+                        scan = self.scan
+                        env = scan_states + [self._op(a, regs, svals)
+                                             for a in scan.const_ops]
+                        cols = [_py_values(self._op(a, regs, svals), tag,
+                                             int_mode, n)
+                                for a, tag in zip(ins[1], scan.col_tags)]
+                        env += [None] * (len(cols) + len(scan.steps))
+                        col = _run_scan(scan, env, cols, n)
                     else:
                         col = self._exec(ins, regs, svals, int_mode, n)
                     regs[i] = col
@@ -592,6 +871,14 @@ class BatchKernel:
                 rt.state[av.name] = int(scans[av.name][n])
             elif av.c != 0:
                 rt.state[av.name] = aff_base[av.name] + n * av.c
+        for ring in self.rings:
+            final = regs[ring.reg][1]
+            if ring.etype is int:
+                final = final.astype(np.int64)
+            rt.state[ring.name][:] = final.tolist()
+        if self.scan is not None:
+            for name, value in zip(self.scan.names, regs[self.scan.reg][0]):
+                rt.state[name] = value
         bag = rt.counters.events
         for event, count in self.events.items():
             bag[event] += count * n
@@ -601,6 +888,32 @@ class BatchKernel:
     def _exec(self, ins: Tuple[Any, ...], regs: List[Any],
               svals: List[Any], int_mode: bool, n: int) -> Any:
         op = ins[0]
+        if op == "ibin":
+            _, code, a, b = ins
+            x = _i64(self._op(a, regs, svals))
+            y = _i64(self._op(b, regs, svals))
+            if code == "and":
+                return x & y
+            if code == "or":
+                return x | y
+            if code == "xor":
+                return x ^ y
+            if code == "shl":
+                return np.left_shift(x, y)
+            if code == "shr":
+                return np.right_shift(x, y)
+            if code == "add":
+                return x + y
+            if code == "sub":
+                return x - y
+            return x * y
+        if op == "inot":
+            return ~_i64(self._op(ins[1], regs, svals))
+        if op == "i2f":
+            x = self._op(ins[1], regs, svals)
+            if isinstance(x, np.ndarray):
+                return x.astype(np.float64)
+            return float(x)
         if op == "bin":
             _, code, a, b = ins
             x = self._op(a, regs, svals)
@@ -767,6 +1080,10 @@ class BatchKernel:
             if tag == "bool":
                 return None
             col = regs[idx]
+            if tag == "i64":
+                if isinstance(col, np.ndarray):
+                    return col
+                return np.full(n, int(col), dtype=np.int64)
             as_int = tag == "int" or (tag == "slab" and int_mode)
             if not (isinstance(col, np.ndarray) and col.ndim == 1):
                 if as_int:
@@ -783,6 +1100,8 @@ class BatchKernel:
                      int_mode: bool, n: int) -> List[Any]:
         tag = self.rtags[idx]
         col = regs[idx]
+        if tag == "i64":
+            return _py_values(col, tag, int_mode, n)
         as_int = tag == "int" or (tag == "slab" and int_mode)
         if not (isinstance(col, np.ndarray) and col.ndim == 1):
             # Batch-constant register (every operand was a constant or a
@@ -818,6 +1137,8 @@ class BatchKernel:
 #                         ``(None, 1, d)``.
 #   ('s', j)              batch-constant read of never-written array/vector
 #                         state (j indexes state_reads)
+#   ('q', slot, tag)      a value of the sequential scan: the env slot of a
+#                         scanned state, scan input or scan step
 # Vectors are Python lists of abstract values, mirroring the interpreter's
 # list identity/aliasing semantics exactly.
 
@@ -829,9 +1150,44 @@ _BITWISE = frozenset({"<<", ">>", "&", "|", "^"})
 _CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
 
+#: Bound of a materialized scan value, per tag (an emitted integer column
+#: is checked below 2**53 as it is built).
+_SCAN_EMIT_BOUND = {"bool": 1.0, "int": _EXACT_LIMIT - 1,
+                    "slab": _EXACT_LIMIT - 1, "float": _INF}
+
+_W64_REASON = ("value only exact modulo 2**64 (mask it with & c, "
+               "0 <= c < 2**63)")
+
+#: int-lane instruction code of each ring / bitwise operator.
+_INT_CODES = {"+": "add", "-": "sub", "*": "mul", "&": "and", "|": "or",
+              "^": "xor", "<<": "shl", ">>": "shr"}
+
+
+def _scan_tag(kind: str, name: str, tags: List[str]) -> Optional[str]:
+    """The static type tag of one scan step's result under the
+    interpreter's Python semantics (None: the type is data-dependent)."""
+    if kind == "bin":
+        if name in _CMP_OPS or name in ("&&", "||"):
+            return "bool"
+        if name in _BITWISE:
+            return "int"
+        if "float" in tags:
+            return "float"
+        return "slab" if "slab" in tags else "int"
+    if kind == "un":
+        if name == "!":
+            return "bool"
+        return "int" if name == "~" or tags[0] == "bool" else tags[0]
+    if name in ("min", "max"):
+        return tags[0] if len(set(tags)) == 1 else None
+    if name == "abs":
+        return "int" if tags[0] == "bool" else tags[0]
+    return "int" if name == "int" else "float"
+
+
 class _Builder:
     def __init__(self, runtime: ActorRuntime, spec: FilterSpec,
-                 in_vector: bool) -> None:
+                 in_vector: bool, scan_names: FrozenSet[str]) -> None:
         self.rt = runtime
         self.spec = spec
         self.in_vector = in_vector
@@ -859,6 +1215,47 @@ class _Builder:
         # state var *within* the firing; the last one is the var's
         # per-firing map (see :meth:`build`).
         self._cur: Dict[str, Tuple[Any, Any, Any, bool]] = {}
+        # "int" or "float": the window type every slab use here assumes.
+        self.window_mode: Optional[str] = None
+        self.rings = self.find_rings()
+        # The sequential scan: its variables' current env slots, its
+        # constant and column inputs, steps and emitted slots.  Slots stay
+        # symbolic — ("st", i), ("k", j), ("col", j), ("tmp", k) — until
+        # build.
+        self.scan_names = tuple(sorted(scan_names))
+        self.scan_cur: Dict[str, Tuple[str, int]] = {
+            name: ("st", i) for i, name in enumerate(self.scan_names)}
+        self.scan_consts: List[Tuple[Any, ...]] = []
+        self.scan_cols: List[Tuple[Any, ...]] = []
+        self.scan_steps: List[Tuple[str, str, Any, Any]] = []
+        self.scan_emits: Dict[Tuple[str, int], int] = {}
+
+    def find_rings(self) -> Dict[str, _Ring]:
+        """The state arrays the body writes, each a ring of its post-init
+        shape; any other state array stays a batch constant."""
+        body = self.spec.work_body
+        local = set()
+        for stmt in iter_stmts(body):
+            if isinstance(stmt, (S.DeclVar, S.DeclArray)):
+                local.add(stmt.name)
+            elif isinstance(stmt, S.For):
+                local.add(stmt.var)
+        rings: Dict[str, _Ring] = {}
+        for stmt in iter_stmts(body):
+            if not (isinstance(stmt, S.Assign)
+                    and isinstance(stmt.lhs, L.ArrayLV)):
+                continue
+            name = stmt.lhs.name
+            value = self.rt.state.get(name)
+            if name in local or name in rings or type(value) is not list \
+                    or not value:
+                continue
+            first = value[0]
+            width = len(first) if type(first) is list else 0
+            etype = type(first[0] if width else first)
+            if etype in (int, float):
+                rings[name] = _Ring(name, len(value), width, etype)
+        return rings
 
     # -- small helpers ---------------------------------------------------------
     def fail(self, reason: str) -> None:
@@ -882,6 +1279,27 @@ class _Builder:
     def add_check(self, operand: Tuple[Any, ...], mode: str) -> None:
         if operand[0] == "r":
             self.checks.append((operand[1], mode))
+
+    def need_mode(self, mode: str) -> None:
+        """Every batch must read a window of type ``mode`` ("int" or "float")."""
+        if self.window_mode not in (None, mode):
+            self.fail("tape values must be both int and float")
+        self.window_mode = mode
+
+    def exact(self, operand: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        """``operand``, refused if it is only exact modulo 2**64."""
+        if operand[0] == "r" and self.rtags[operand[1]] == "w64":
+            self.fail(_W64_REASON)
+        return operand
+
+    def f64(self, operand: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        """``operand`` in the float64 register file: an int64 column
+        converts, checked below 2**53."""
+        if self.tag_of(self.exact(operand)) != "i64":
+            return operand
+        reg = self.new_reg(("i2f", operand), "int", self.bound_of(operand))
+        self.checks.append((reg[1], "always"))
+        return reg
 
     # Bound-table rows (see :func:`_eval_bounds`).
     def _const_bound(self, value: float) -> Tuple[str, int]:
@@ -918,6 +1336,8 @@ class _Builder:
         if kind == "s":
             t = self.sread_types[av[1]]
             return "bool" if t is bool else ("float" if t is float else "int")
+        if kind == "q":
+            return av[2]
         # state form (bool state never folds ``*`` / ``%``)
         _, name, _inner, _mul, add, hf = av
         baked = self.aff[name].baked_type
@@ -931,6 +1351,12 @@ class _Builder:
         """Lower an abstract scalar to an instruction operand, materializing
         affine reads into columns."""
         kind = av[0]
+        if kind == "q":
+            # A scanned value leaves the scan: emit its per-firing column.
+            tag = av[2]
+            k = self.scan_emits.setdefault(av[1], len(self.scan_emits))
+            return self.new_reg(("scanout", None, k, tag), tag,
+                                self.bound_of(("c", _SCAN_EMIT_BOUND[tag])))
         if kind == "a":
             _, name, inner, mul, add, hf = av
             if mul != 1:
@@ -964,6 +1390,7 @@ class _Builder:
         if operand[0] == "c":
             return ("c", int(operand[1])) if type(operand[1]) is bool \
                 else operand
+        operand = self.f64(operand)
         tag = self.tag_of(operand)
         if tag != "bool":
             return operand
@@ -972,6 +1399,7 @@ class _Builder:
     def truthify(self, operand: Tuple[Any, ...]) -> Tuple[Any, ...]:
         if operand[0] == "c":
             return ("c", bool(operand[1]))
+        self.exact(operand)
         if self.tag_of(operand) == "bool":
             return operand
         return self.new_reg(("truthy", operand), "bool",
@@ -1022,7 +1450,7 @@ class _Builder:
                 self.fail("vpush of a scalar value")
             if any(self.is_vec(x) for x in value):
                 self.fail("vpush of a nested vector value")
-            lanes = tuple(self.operand(x) for x in value)
+            lanes = tuple(self.exact(self.operand(x)) for x in value)
             self.record_write(self.wcur, ("vec", lanes), raw=True)
             self.wcur += 1
         elif isinstance(stmt, S.ScatterPush):
@@ -1105,7 +1533,7 @@ class _Builder:
         self.require_output()
         if not raw and self.is_vec(value):
             self.fail("write of a vector value through a scalar slot")
-        src = value if raw else self.operand(value)
+        src = value if raw else self.exact(self.operand(value))
         self.records.append((offset, src))
 
     def charge_scalar_out(self) -> None:
@@ -1142,6 +1570,10 @@ class _Builder:
                 return
             self.fail(f"assignment to undeclared variable {lhs.name!r}")
         elif isinstance(lhs, L.ArrayLV):
+            if lhs.name not in self.locals and lhs.name in self.rings:
+                self.ring_write(self.rings[lhs.name], self.eval(lhs.index),
+                                value)
+                return
             index = self.const_int(self.eval(lhs.index), "array index")
             if lhs.name not in self.locals:
                 self.fail("stateful: assignment to state array")
@@ -1182,10 +1614,17 @@ class _Builder:
             self.fail(f"unknown lvalue {type(lhs).__name__}")
 
     def assign_state(self, name: str, value: Any) -> None:
+        if name in self.scan_cur:
+            self.scan_assign(name, value)
+            return
         if self.is_vec(value) or value[0] != "a" or value[1] != name:
             var = self.aff.get(name)
-            self.fail("stateful: " + (var.why if var is not None and var.why
-                                      else "non-affine state update"))
+            reason = "stateful: " + (var.why if var is not None and var.why
+                                     else "non-affine state update")
+            if not self.is_vec(value) and \
+                    type(self.rt.state[name]) in (bool, int, float):
+                raise _NeedScan(name, reason)
+            self.fail(reason)
         _, _, inner, mul, add, hf = value
         var = self.aff[name]
         if hf and var.baked_type is not float:
@@ -1193,6 +1632,115 @@ class _Builder:
         if var.baked_type is bool and add != 0:
             self.fail("stateful: bool state leaves {0,1} under update")
         self._cur[name] = (inner, mul, add, hf)
+
+    # -- the sequential scan -----------------------------------------------------
+    def scan_ref(self, av: Any) -> Tuple[str, int]:
+        """The env slot of one scan operand: a scanned value's own, or a
+        new input slot for a constant, state constant or column."""
+        if av[0] == "q":
+            return av[1]
+        op = self.exact(self.operand(av))
+        if op[0] != "r":
+            self.scan_consts.append(op)
+            return ("k", len(self.scan_consts) - 1)
+        if op in self.scan_cols:
+            return ("col", self.scan_cols.index(op))
+        if self.rtags[op[1]] == "int":
+            # The column enters the scan as Python ints.
+            self.add_check(op, "always")
+        self.scan_cols.append(op)
+        return ("col", len(self.scan_cols) - 1)
+
+    def scan_tag(self, av: Any) -> str:
+        tag = self.tag_of(av)
+        if tag == "w64":
+            self.fail(_W64_REASON)
+        return "int" if tag == "i64" else tag
+
+    def scan_op(self, kind: str, name: str, args: List[Any]) -> Any:
+        """One step of the scan's update chain: ``name`` applied to
+        ``args``, at least one of them a scanned value."""
+        if kind == "call":
+            try:
+                math_impl(name)
+            except ValueError:
+                self.fail(f"unknown intrinsic {name!r}")
+            if name in ("min", "max") and len(args) > 2:
+                acc = args[0]
+                for nxt in args[1:]:
+                    acc = self.scan_op(kind, name, [acc, nxt])
+                return acc
+        tag = _scan_tag(kind, name, [self.scan_tag(a) for a in args])
+        if tag is None:
+            self.fail("min/max over mixed operand types")
+        refs = [self.scan_ref(a) for a in args]
+        dest = ("tmp", len(self.scan_steps))
+        self.scan_steps.append((kind, name, refs[0],
+                                refs[1] if len(refs) > 1 else None))
+        return ("q", dest, tag)
+
+    def scan_assign(self, name: str, value: Any) -> None:
+        if self.is_vec(value):
+            self.fail("stateful: vector value assigned to scalar state")
+        want = _tag_of_const(self.rt.state[name])
+        tag = self.scan_tag(value)
+        if tag == "slab" and want != "bool":
+            self.need_mode(want)
+        elif tag != want:
+            self.fail("stateful: state type changes under update")
+        self.scan_cur[name] = self.scan_ref(value)
+
+    # -- state rings --------------------------------------------------------------
+    def ring_slot(self, ring: _Ring, index: Any) -> Tuple[Any, ...]:
+        """A ring access's slot operand: a constant, or an integer state
+        form (a ring cursor); stream-derived indices refuse."""
+        if self.is_vec(index):
+            self.fail("vector value used as array index")
+        if index[0] == "c":
+            k = self.const_int(index, "array index")
+            if not 0 <= k < ring.length:
+                self.fail("state array access out of range")
+            return ("c", k)
+        if index[0] == "a" and self.tag_of(index) in ("int", "bool"):
+            return self.operand(index)
+        self.fail("data-dependent array index")
+
+    def ring_read(self, ring: _Ring, index: Any) -> Any:
+        slot = self.ring_slot(ring, index)
+        self.charge(ev.VECTOR_LOAD if ring.width else ev.SCALAR_LOAD)
+        read = len(ring.is_write) - ring.n_writes
+        ring.slots.append(slot)
+        ring.is_write.append(False)
+        tag = "float" if ring.etype is float else "int"
+        # An int ring's bound row is set once every write is known.
+        bound = self.bound_of(("c", _INF))
+        if ring.width:
+            return [self.new_reg(("ringout", ring.name, read, k), tag, bound)
+                    for k in range(ring.width)]
+        return self.new_reg(("ringout", ring.name, read, -1), tag, bound)
+
+    def ring_write(self, ring: _Ring, index: Any, value: Any) -> None:
+        slot = self.ring_slot(ring, index)
+        if self.is_vec(value) != bool(ring.width) or \
+                (ring.width and len(value) != ring.width):
+            self.fail("stateful: state array element shape changes")
+        self.charge(ev.VECTOR_STORE if ring.width else ev.SCALAR_STORE)
+        want = "float" if ring.etype is float else "int"
+        for lane in (value if ring.width else [value]):
+            if self.is_vec(lane):
+                self.fail("nested vector value")
+            op = self.f64(self.operand(lane))
+            tag = self.tag_of(op)
+            if tag == "slab":
+                self.need_mode(want)
+            elif tag != want:
+                self.fail("stateful: state array element type changes")
+            elif tag == "int":
+                self.add_check(op, "always")
+            ring.values.append(op)
+        ring.slots.append(slot)
+        ring.is_write.append(True)
+        ring.n_writes += 1
 
     # ==========================================================================
     # Expressions
@@ -1289,6 +1837,11 @@ class _Builder:
         state = self.rt.state
         if name not in state:
             self.fail(f"undefined variable {name!r}")
+        if name in self.rings:
+            self.fail("whole-array read of a written state array")
+        if name in self.scan_cur:
+            return ("q", self.scan_cur[name],
+                    _tag_of_const(self.rt.state[name]))
         sv = state[name]
         if isinstance(sv, list):
             # Never-written vector state: lanes become batch constants.
@@ -1320,7 +1873,10 @@ class _Builder:
         return ("s", len(self.state_reads) - 1)
 
     def array_read(self, e: E.ArrayRead) -> Any:
-        index = self.const_int(self.eval(e.index), "array index")
+        index_av = self.eval(e.index)
+        if e.name not in self.locals and e.name in self.rings:
+            return self.ring_read(self.rings[e.name], index_av)
+        index = self.const_int(index_av, "array index")
         if e.name in self.locals:
             array = self.locals[e.name]
         elif e.name in self.rt.state:
@@ -1358,6 +1914,8 @@ class _Builder:
             return list(array[start:start + sw])
         if e.name in self.rt.state:
             sv = self.rt.state[e.name]
+            if e.name in self.rings:
+                self.fail("vector load from a written state array")
             if not isinstance(sv, list) or start + sw > len(sv):
                 self.fail(f"vector load past end of array {e.name!r}")
             self.charge(ev.VECTOR_LOAD_U)
@@ -1468,13 +2026,19 @@ class _Builder:
         """Uncharged scalar combine (callers charge the op event once)."""
         if left[0] == "c" and right[0] == "c":
             return self.fold_const(op, left[1], right[1])
+        if left[0] == "q" or right[0] == "q":
+            return self.scan_op("bin", op, [left, right])
         # State-form folds: (mul·I + add) ∘ const stays a state form.
         if op in _FOLD_OPS and (left[0] == "a" or right[0] == "a"):
             folded = self.try_affine_fold(op, left, right)
             if folded is not None:
                 return folded
         if op in _BITWISE:
-            self.fail(f"bitwise operator {op!r} on non-constant operands")
+            return self.int_op(op, left, right)
+        if op in ("+", "-", "*"):
+            tags = (self.tag_of(left), self.tag_of(right))
+            if "float" not in tags and ("i64" in tags or "w64" in tags):
+                return self.int_op(op, left, right)
         if op in _CMP_OPS:
             a = self.b2f(self.operand(left))
             b = self.b2f(self.operand(right))
@@ -1553,6 +2117,62 @@ class _Builder:
             return None
         return ("a", name, (mul * inner[0] % c, (mul * inner[1] + add) % c, c),
                 1, 0, hf)
+
+    # -- the int64 lane -------------------------------------------------------------
+    def int_operand(self, av: Any) -> Tuple[Tuple[Any, ...], bool]:
+        """An int-lane operand and whether it is exact (a wrapped constant
+        or a ``w64`` register is only exact modulo 2**64)."""
+        if av[0] == "c":
+            try:
+                v = int(av[1])          # the interpreter's int(a) << int(b)
+            except (ValueError, OverflowError):
+                self.fail("bitwise operator on a non-finite constant")
+            return ("c", _wrap64(v)), _wrap64(v) == v
+        op = self.operand(av)
+        tag = self.tag_of(op)
+        if tag == "float":
+            self.fail("bitwise operator on a float operand")
+        if tag == "bool":
+            op = self.b2f(op)
+        elif tag == "slab":
+            self.need_mode("int")
+        elif tag == "int":
+            self.add_check(op, "always")
+        return op, tag != "w64"
+
+    def int_op(self, op: str, left: Any, right: Any) -> Tuple[Any, ...]:
+        """``left op right`` on int64 columns.  ``+ - * & | ^ <<`` are
+        ring ops, exact modulo 2**64: their result is a ``w64`` register
+        unless both operands are exact and the op cannot overflow (``& |
+        ^``), or it is masked by a constant ``0 <= c < 2**63``."""
+        code = _INT_CODES.get(op)
+        if code is None:
+            self.fail(f"unknown binary operator {op!r}")
+        a, a_exact = self.int_operand(left)
+        if op in ("<<", ">>"):
+            if right[0] != "c":
+                self.fail("shift by a non-constant count")
+            k, _ = self.int_operand(right)
+            if not 0 <= k[1] <= 63:
+                self.fail("shift count outside [0, 63]")
+            if op == "<<":
+                return self.new_reg(("ibin", code, a, k), "w64",
+                                    self.bound_of(("c", _INF)))
+            if not a_exact:
+                self.fail(_W64_REASON)
+            return self.new_reg(("ibin", code, a, k), "i64",
+                                self.bound_of(a))
+        b, b_exact = self.int_operand(right)
+        if op == "&":
+            for mask in (a, b):
+                if mask[0] == "c" and 0 <= mask[1] < 2 ** 63:
+                    return self.new_reg(("ibin", code, a, b), "i64",
+                                        self.bound_of(mask))
+        if op in ("&", "|", "^") and a_exact and b_exact:
+            return self.new_reg(("ibin", code, a, b), "i64",
+                                self.bound_op("bits", a, b))
+        return self.new_reg(("ibin", code, a, b), "w64",
+                            self.bound_of(("c", _INF)))
 
     def tag_join(self, *tags: str) -> str:
         if "float" in tags:
@@ -1639,6 +2259,15 @@ class _Builder:
                 return ("c", apply_unary(op, operand[1]))
             except Exception as exc:
                 self.fail(f"constant fold of unary {op!r} failed: {exc}")
+        if operand[0] == "q":
+            return self.scan_op("un", op, [operand])
+        if op in ("-", "~") and self.tag_of(operand) in ("i64", "w64"):
+            a = self.operand(operand)
+            if op == "-":
+                return self.new_reg(("ibin", "sub", ("c", 0), a), "w64",
+                                    self.bound_of(("c", _INF)))
+            return self.new_reg(("inot", a), self.rtags[a[1]],
+                                self.bound_op("add", a, ("c", 1.0)))
         if op == "!":
             t = self.truthify(self.operand(operand))
             return self.new_reg(("not", t), "bool", self.bound_of(("c", 1.0)))
@@ -1674,6 +2303,8 @@ class _Builder:
                 return ("c", apply_math(func, [a[1] for a in args]))
             except Exception as exc:
                 self.fail(f"constant fold of {func!r} failed: {exc}")
+        if any(a[0] == "q" for a in args):
+            return self.scan_op("call", func, args)
         if func == "abs":
             a = self.b2f(self.operand(args[0]))
             tag = self.tag_of(a)
@@ -1683,7 +2314,7 @@ class _Builder:
         if func in ("min", "max"):
             return self.minmax(func == "min", args)
         if func == "float":
-            a = self.operand(args[0])
+            a = self.f64(self.operand(args[0]))
             tag = self.tag_of(a)
             if tag == "bool":
                 a = self.b2f(a)
@@ -1713,13 +2344,13 @@ class _Builder:
                 acc = ("c", min(acc[1], nxt[1]) if is_min
                        else max(acc[1], nxt[1]))
                 continue
-            ta, tb = self.tag_of(acc), self.tag_of(nxt)
+            a = self.f64(self.operand(acc))
+            b = self.f64(self.operand(nxt))
+            ta, tb = self.tag_of(a), self.tag_of(b)
             if ta != tb:
                 # Python min/max preserve the *argument's* type; a mixed
                 # int/float pair can surface either type data-dependently.
                 self.fail("min/max over mixed operand types")
-            a = self.operand(acc)
-            b = self.operand(nxt)
             acc = self.new_reg(("minmax", is_min, a, b, ta == "bool"),
                                ta, self.bound_op("max", a, b))
         return acc
@@ -1751,15 +2382,15 @@ class _Builder:
             return self.copy_pick(cond[1], if_true, if_false)
         if self.is_vec(if_true) or self.is_vec(if_false):
             self.fail("data-dependent select between vector values")
-        tt, tf = self.tag_of(if_true), self.tag_of(if_false)
+        c = self.truthify(self.operand(cond))
+        a = self.f64(self.operand(if_true))
+        b = self.f64(self.operand(if_false))
+        tt, tf = self.tag_of(a), self.tag_of(b)
         tag = tt if tt == tf else None
         if tag is None:
             if "bool" in (tt, tf):
                 self.fail("select arms of mixed bool/number type")
             tag = self.tag_join(tt, tf)
-        c = self.truthify(self.operand(cond))
-        a = self.operand(if_true)
-        b = self.operand(if_false)
         return self.new_reg(("where", c, a, b, tag), tag,
                             self.bound_op("max", a, b))
 
@@ -1773,12 +2404,13 @@ class _Builder:
         for name, (inner, mul, add, _hf) in self._cur.items():
             var = self.aff[name]
             if mul != 1:
-                self.fail("stateful: multiplicative state update without "
-                          "a modulus")
+                raise _NeedScan(name, "stateful: multiplicative state "
+                                "update without a modulus")
             if inner is None:
                 var.c = add
             elif add:
-                self.fail("stateful: modular state update leaves [0, m)")
+                raise _NeedScan(name, "stateful: modular state update "
+                                "leaves [0, m)")
             else:
                 var.a, var.c, var.m = inner
         for var in self.aff.values():
@@ -1795,12 +2427,16 @@ class _Builder:
             if len(set(residues)) != len(residues):
                 self.fail("overlapping strided writes")
         need = self.max_read + 1 if self.max_read >= 0 else 0
-        bounds = self.bound_table()
+        rings = self.finish_rings()
+        scan = self.finish_scan()
+        if rings or scan is not None:
+            self.order_program(rings, scan)
+        bounds = self.bound_table(len(rings))
         bound_consts = tuple(self.bound_consts)
         # Build-time bound sanity: any *checked* register must have a
         # finite symbolic bound, else the check could never pass anyway.
         bvals = _eval_bounds(bounds, [1.0] * (1 + len(self.state_reads)
-                                              + len(self.aff))
+                                              + len(self.aff) + len(rings))
                              + list(bound_consts))
         for idx, _mode in self.checks:
             if bvals[idx] == _INF:
@@ -1815,30 +2451,148 @@ class _Builder:
             rtags=tuple(self.rtags),
             bounds=bounds,
             bound_consts=bound_consts,
-            frees=self.free_lists(),
+            frees=self.free_lists(rings, scan),
             checks=tuple(dict.fromkeys(self.checks)),
             records=tuple(self.records),
             state_reads=tuple(self.state_reads),
             sread_types=tuple(self.sread_types),
             aff_vars=tuple(self.aff.values()),
+            rings=rings,
+            scan=scan,
+            window_mode=self.window_mode,
             events=dict(self.events),
             internal_used=self.internal_used,
             n_regs=len(self.rtags),
         )
 
-    def bound_table(self) -> Tuple[Tuple[str, int, int], ...]:
+    def finish_rings(self) -> Tuple[_Ring, ...]:
+        """Add one ``ring`` gather per accessed ring, point its reads at
+        it and, for an int ring, bound them by its contents and every
+        value written."""
+        rings = tuple(r for r in self.rings.values() if r.is_write)
+        for rid, ring in enumerate(rings):
+            ring.write_pos = np.array(
+                [e for e, w in enumerate(ring.is_write) if w], dtype=np.intp)
+            ring.read_pos = tuple(
+                e for e, w in enumerate(ring.is_write) if not w)
+            reg = self.new_reg(("ring", rid, tuple(ring.slots),
+                                tuple(ring.values)), "ring",
+                               self.bound_of(("c", _INF)))
+            ring.reg = reg[1]
+            bound = ("maxn", (("ring", rid),
+                              *map(self.bound_ref, ring.values)), None)
+            for i, ins in enumerate(self.instrs):
+                if ins[0] == "ringout" and ins[1] == ring.name:
+                    self.instrs[i] = ("ringout", reg, *ins[2:])
+                    if ring.etype is int:
+                        self.bounds[i] = bound
+        return rings
+
+    def finish_scan(self) -> Optional[_Scan]:
+        """Add the ``seqscan`` instruction and resolve the scan's symbolic
+        env slots: the states, then the constants, the columns, and one
+        slot per step."""
+        if not self.scan_names:
+            return None
+        consts, cols = self.scan_consts, self.scan_cols
+        base = {"st": 0, "k": len(self.scan_names)}
+        base["col"] = base["k"] + len(consts)
+        base["tmp"] = base["col"] + len(cols)
+
+        def slot(ref: Any) -> int:
+            return -1 if ref is None else base[ref[0]] + ref[1]
+
+        impls = {"bin": BINARY_IMPLS, "un": UNARY_IMPLS}
+        steps = tuple(
+            (impls[kind][name] if kind in impls else math_impl(name),
+             slot(a), slot(b), slot(("tmp", k)))
+            for k, (kind, name, a, b) in enumerate(self.scan_steps))
+        emits = sorted(self.scan_emits, key=self.scan_emits.get)
+        reg = self.new_reg(("seqscan", tuple(cols)), "scan",
+                           self.bound_of(("c", _INF)))
+        for i, ins in enumerate(self.instrs):
+            if ins[0] == "scanout":
+                self.instrs[i] = ("scanout", reg, *ins[2:])
+        return _Scan(
+            names=self.scan_names,
+            types=tuple(type(self.rt.state[name])
+                        for name in self.scan_names),
+            steps=steps,
+            emits=tuple(slot(ref) for ref in emits),
+            carry=tuple(slot(self.scan_cur[name])
+                        for name in self.scan_names),
+            const_ops=tuple(consts),
+            col_tags=tuple(self.rtags[op[1]] for op in cols),
+            reg=reg[1])
+
+    def order_program(self, rings: Tuple[_Ring, ...],
+                      scan: Optional[_Scan]) -> None:
+        """Reorder the register program so every instruction follows the
+        registers it reads — a ring gather or the scan is added last but
+        read by registers made during the walk — and renumber it."""
+        n = len(self.instrs)
+        deps = [_reads(ins) for ins in self.instrs]
+        order: List[int] = []
+        mark = [0] * n                  # 1: on the DFS stack, 2: placed
+        for root in range(n):
+            if mark[root]:
+                continue
+            mark[root] = 1
+            stack = [(root, iter(deps[root]))]
+            while stack:
+                node, pending = stack[-1]
+                for dep in pending:
+                    if mark[dep] == 1:
+                        self.fail("stateful: ring or scan state feeds back "
+                                  "into itself")
+                    if mark[dep] == 0:
+                        mark[dep] = 1
+                        stack.append((dep, iter(deps[dep])))
+                        break
+                else:
+                    stack.pop()
+                    mark[node] = 2
+                    order.append(node)
+        new = [0] * n
+        for pos, old in enumerate(order):
+            new[old] = pos
+
+        def ref(x: Any) -> Any:
+            # A register index, a "maxn" slot list, or a symbolic input.
+            if type(x) is int:
+                return new[x]
+            if type(x) is tuple and type(x[0]) is not str:
+                return tuple(map(ref, x))
+            return x
+
+        self.instrs = [_renumber(self.instrs[old], new) for old in order]
+        self.rtags = [self.rtags[old] for old in order]
+        self.bounds = [(self.bounds[old][0], ref(self.bounds[old][1]),
+                        ref(self.bounds[old][2])) for old in order]
+        self.checks = [(new[i], mode) for i, mode in self.checks]
+        self.records = [(offset, _renumber(src, new))
+                        for offset, src in self.records]
+        for ring in rings:
+            ring.reg = new[ring.reg]
+        if scan is not None:
+            scan.reg = new[scan.reg]
+
+    def bound_table(self, n_rings: int) -> Tuple[Tuple[str, Any, Any], ...]:
         """The bound rows with every symbolic input resolved to its slot
         after the registers': the window, the state reads, the affine
-        variables, then the constants."""
+        variables, the rings, then the constants."""
         n_regs = len(self.rtags)
         s_base = n_regs + 1
         a_base = s_base + len(self.state_reads)
-        k_base = a_base + len(self.aff)
+        r_base = a_base + len(self.aff)
+        k_base = r_base + n_rings
         aff_slot = {name: a_base + k for k, name in enumerate(self.aff)}
 
-        def slot(ref: Any) -> int:
-            if type(ref) is int:
+        def slot(ref: Any) -> Any:
+            if type(ref) is int or ref is None:
                 return ref
+            if type(ref[0]) is not str:
+                return tuple(map(slot, ref))        # a "maxn" slot list
             kind, x = ref
             if kind == "w":
                 return n_regs
@@ -1846,19 +2600,25 @@ class _Builder:
                 return s_base + x
             if kind == "aff":
                 return aff_slot[x]
+            if kind == "ring":
+                return r_base + x
             return k_base + x
 
         return tuple((code, slot(a), slot(b)) for code, a, b in self.bounds)
 
-    def free_lists(self) -> Tuple[Tuple[int, ...], ...]:
+    def free_lists(self, rings: Tuple[_Ring, ...],
+                   scan: Optional[_Scan]) -> Tuple[Tuple[int, ...], ...]:
         """Per instruction, the registers whose last reader it is.  A
         register nothing reads dies at its own instruction; one an output
-        record reads is never freed."""
+        record reads, a ring gather or the scan (committed last) is never
+        freed."""
         last = list(range(len(self.instrs)))
         for i, ins in enumerate(self.instrs):
             for reg in _reads(ins):
                 last[reg] = i
-        pinned = set()
+        pinned = {ring.reg for ring in rings}
+        if scan is not None:
+            pinned.add(scan.reg)
         for _, src in self.records:
             for op in (src[1] if src[0] == "vec" else (src,)):
                 if op[0] == "r":
@@ -1880,14 +2640,32 @@ def _reads(ins: Tuple[Any, ...]) -> List[int]:
     return [op[1] for op in ops if op and op[0] == "r"]
 
 
+def _renumber(x: Any, new: List[int]) -> Any:
+    """``x`` with every ``("r", i)`` operand inside it renumbered."""
+    if type(x) is not tuple:
+        return x
+    if len(x) == 2 and type(x[0]) is str and x[0] == "r":
+        return ("r", new[x[1]])
+    return tuple(_renumber(y, new) for y in x)
+
+
 def build_batch_kernel(runtime: ActorRuntime, spec: FilterSpec,
                        in_vector: bool) -> BatchKernel:
     """Abstract-interpret ``spec.work_body`` against ``runtime`` (whose
     state must already reflect ``run_init``) and return a batch kernel.
 
-    Raises :class:`Unvectorizable` with a human-readable reason when the
-    actor must take the per-firing fallback path instead.
+    A scalar state variable whose update is not modular-affine moves to
+    the sequential scan and the body is walked again.  Raises
+    :class:`Unvectorizable` with a human-readable reason when the actor
+    must take the per-firing fallback path instead.
     """
     if np is None:
         raise Unvectorizable("numpy is not installed")
-    return _Builder(runtime, spec, in_vector).build()
+    scanned: FrozenSet[str] = frozenset()
+    while True:
+        try:
+            return _Builder(runtime, spec, in_vector, scanned).build()
+        except _NeedScan as exc:
+            if exc.name in scanned:         # pragma: no cover - defensive
+                raise Unvectorizable(str(exc)) from None
+            scanned |= {exc.name}

@@ -2,10 +2,11 @@
 
 The fuzz matrix gained a third backend (``…/vector``); these tests prove
 that axis is not vacuous.  :mod:`repro.runtime.vector.kernel` carries
-three deliberately injectable defects — ``_MUT_READ_SHIFT`` (off-by-one on
+four deliberately injectable defects — ``_MUT_READ_SHIFT`` (off-by-one on
 every batched slab read), ``_MUT_SWAP_SUB`` (swapped subtraction
-operands) and ``_MUT_SCAN_SHIFT`` (off-by-one in the jump-ahead index of a
-scanned state recurrence) — representing the classic ways a batch kernel
+operands), ``_MUT_SCAN_SHIFT`` (off-by-one in the jump-ahead index of a
+scanned state recurrence) and ``_MUT_RING_SHIFT`` (off-by-one in a state
+ring's last-writer index) — representing the classic ways a batch kernel
 miscompiles: wrong *addressing*, wrong *arithmetic* and wrong *state*.
 With any seam armed, the interp-vs-vector oracle must diverge; with all
 disarmed, the identical campaign must be clean.  The scan seam is only
@@ -30,23 +31,34 @@ from repro.fuzz import check_program, run_fuzz
 from repro.fuzz.corpus import DEFAULT_CORPUS, desc_hash
 from repro.fuzz.harness import OPTION_SETS, check_graph, default_backends
 from repro.simd import list_targets
-from repro.graph.actor import FilterSpec
+from repro.graph.actor import FilterSpec, StateVar
 from repro.graph.flatten import flatten
 from repro.graph.structure import Program, pipeline
-from repro.ir import WorkBuilder
+from repro.ir import FLOAT, INT, ArrayHandle, WorkBuilder
 
 MUTATION_BUDGET = 8
 
 
 def _multi_firing_graph(op: str):
     """source(8) -> worker(pop 2, push 2; fires 4x) -> sink(8); ``"lcg"``
-    swaps in an LCG source(2) that itself fires 4x."""
+    swaps in an LCG source(2) that itself fires 4x, ``"ring"`` a worker
+    that is a 3-slot delay line."""
     b = WorkBuilder()
-    x = b.let("x", b.pop())
-    y = b.let("y", b.pop())
-    b.push((x - y) if op == "sub" else (x + y))
-    b.push(x * 2.0)
-    worker = FilterSpec("worker", pop=2, push=2, work_body=b.build())
+    state = ()
+    if op == "ring":
+        buf, ph = ArrayHandle("buf"), b.var("ph")
+        for _ in range(2):
+            b.push(buf[ph] + 0.5)
+            b.set(buf[ph], b.pop())
+            b.set(ph, (ph + 1) % 3)
+        state = (StateVar("buf", FLOAT, 3, 0.0), StateVar("ph", INT, 0, 0))
+    else:
+        x = b.let("x", b.pop())
+        y = b.let("y", b.pop())
+        b.push((x - y) if op == "sub" else (x + y))
+        b.push(x * 2.0)
+    worker = FilterSpec("worker", pop=2, push=2, state=state,
+                        work_body=b.build())
     source = lcg_source("src", push=2) if op == "lcg" \
         else ramp_source("src", push=8, step=0.5)
     return flatten(Program("mut", pipeline(
@@ -72,6 +84,7 @@ def test_three_backend_axis_is_clean_when_unmutated():
     ("_MUT_READ_SHIFT", 1, "add"),
     ("_MUT_SWAP_SUB", True, "sub"),
     ("_MUT_SCAN_SHIFT", 1, "lcg"),
+    ("_MUT_RING_SHIFT", 1, "ring"),
 ])
 def test_injected_kernel_defect_is_caught(monkeypatch, seam, value, op):
     graph = _multi_firing_graph(op)
@@ -126,6 +139,23 @@ def test_fuzz_campaign_catches_scan_shift_and_shrinks(monkeypatch):
 
 
 @pytest.mark.fuzz
+def test_fuzz_campaign_catches_ring_shift_and_shrinks(monkeypatch):
+    monkeypatch.setattr(vector_kernel, "_MUT_RING_SHIFT", 1)
+    report = run_fuzz(0, MUTATION_BUDGET, max_findings=1,
+                      backends=("vector",))
+    assert report.findings, "campaign missed the armed ring-shift defect"
+    finding = report.findings[0]
+    assert finding.divergence.kind == "backend"
+    assert finding.divergence.config.endswith("/vector")
+    assert finding.minimized.filter_count() <= 3, finding.minimized
+    kinds = {stage.kind for stage in finding.minimized.stages}
+    assert "delay" in kinds, finding.minimized
+    assert not check_program(finding.minimized, backends=("vector",)).ok
+    monkeypatch.setattr(vector_kernel, "_MUT_RING_SHIFT", 0)
+    assert check_program(finding.minimized, backends=("vector",)).ok
+
+
+@pytest.mark.fuzz
 def test_scan_shift_survives_without_the_lcg_source_kind(monkeypatch):
     """The evidence the LCG fuzz axis is needed: ramp-only programs (the
     generator before sources had kinds) never run a scanned recurrence,
@@ -143,5 +173,6 @@ def test_clean_campaign_over_vector_axis():
     assert vector_kernel._MUT_READ_SHIFT == 0
     assert not vector_kernel._MUT_SWAP_SUB
     assert vector_kernel._MUT_SCAN_SHIFT == 0
+    assert vector_kernel._MUT_RING_SHIFT == 0
     report = run_fuzz(0, MUTATION_BUDGET, backends=("vector",))
     assert report.ok, "\n".join(str(f.divergence) for f in report.findings)

@@ -121,6 +121,35 @@ class TestTypedConstants:
         assert type(canon_int.consts[0]) is int
         assert type(canon_float.consts[0]) is float
 
+    def test_signed_zero_constants_do_not_share_a_memo_entry(self):
+        """``FloatConst(0.0) == FloatConst(-0.0)``, so the two bodies are
+        equal keys of the canonicalisation memo; one backend must still
+        run each with its own constant's sign."""
+        from repro.apps.sources import lcg_source
+
+        def graph(zero):
+            b = WorkBuilder()
+            b.push(b.pop() * zero)
+            spec = FilterSpec("mul", pop=1, push=1, work_body=b.build())
+            return flatten(Program("zero", pipeline(
+                lcg_source("src", push=2), spec)))
+
+        backend = CompiledBackend()
+        for zero in (0.0, -0.0):
+            g = graph(zero)
+            ref = execute(g, iterations=1, backend="interp")
+            got = execute(g, iterations=1, backend=backend)
+            assert [repr(v) for v in got.outputs] == \
+                [repr(v) for v in ref.outputs]
+
+    def test_memo_hit_on_the_same_body_skips_the_walk(self, monkeypatch):
+        import repro.runtime.compiled.backend as compiled_backend
+        backend = CompiledBackend()
+        spec = make_scaler(2.0)
+        first = backend._canonicalize(spec.work_body)
+        monkeypatch.setattr(compiled_backend, "exact_consts", None)
+        assert backend._canonicalize(spec.work_body) is first
+
 
 class TestBackendResolution:
     def test_strings_resolve(self):

@@ -1,11 +1,12 @@
 """The vector backend's fallback contract.
 
 A batch kernel is only built when the whole work body is provably
-batchable; everything else — state updates outside the modular-affine
-class ``s ← (a·s + c) % m``, data-dependent control flow or array
-indexing, inexact intrinsics — must route to the
-per-firing compiled-closure path, be *recorded* as a fallback with its
-reason, and still be bit-identical to the interpreter.  These tests pin
+batchable; everything else — data-dependent control flow, array indices
+derived from stream data — must route to the per-firing
+compiled-closure path, be *recorded* as a fallback with its reason, and
+still be bit-identical to the interpreter.  State updates outside the
+modular-affine class ``s ← (a·s + c) % m`` no longer refuse: the affine
+lane names why it cannot take them, and they run on the sequential scan.  These tests pin
 the routing decisions (per actor, through ``ExecutionResult.vectorized``
 and ``build_batch_kernel`` directly) and the mixed-mode parity.
 """
@@ -26,7 +27,9 @@ from repro.runtime import execute
 from repro.runtime.errors import StreamRuntimeError
 from repro.runtime.interpreter import ActorRuntime
 from repro.runtime.tape import NdTape, Tape
-from repro.runtime.vector.kernel import Unvectorizable, build_batch_kernel
+from repro.runtime.interpreter import Interpreter
+from repro.runtime.vector.kernel import Unvectorizable, _Builder, \
+    _NeedScan, build_batch_kernel
 from repro.simd.machine import CORE_I7
 
 
@@ -47,6 +50,33 @@ def _runtime(spec, data=(), width=4, tape_cls=Tape):
 
 def _build(spec, data=()):
     return build_batch_kernel(_runtime(spec, data), spec, False)
+
+
+def _branch_sink(name="sink", pop=8):
+    """Folds its pops, then branches on the sum: a data-dependent branch
+    the batch path refuses."""
+    b = WorkBuilder()
+    acc = b.let("acc", 0.0)
+    with b.loop("i", 0, pop):
+        b.set(acc, acc + b.pop())
+    with b.if_(acc.gt(0.0)):
+        b.push(acc)
+    with b.orelse():
+        b.push(0.0 - acc)
+    return FilterSpec(name, pop=pop, push=1, work_body=b.build())
+
+
+def _assert_matches_interp(spec, data, n):
+    rt, ref = _runtime(spec, data), _runtime(spec, data)
+    kernel = build_batch_kernel(rt, spec, False)
+    assert kernel.run(rt, n) is True
+    interp = Interpreter(ref)
+    for _ in range(n):
+        interp.run_work(spec.work_body)
+    assert repr(rt.output.drain()) == repr(ref.output.drain())
+    assert dict(rt.counters.events) == dict(ref.counters.events)
+    assert repr(rt.state) == repr(ref.state)
+    return kernel
 
 
 class TestBuildDecisions:
@@ -97,6 +127,8 @@ class TestBuildDecisions:
          "stateful: modular state update leaves [0, m)"),
     ])
     def test_int_recurrence_refusals_are_named(self, update, reason):
+        # The affine lane names why it cannot take the update; the kernel
+        # then runs it on the sequential scan, exactly.
         b = WorkBuilder()
         s = b.var("s")
         b.set(s, update(b, s))
@@ -104,11 +136,13 @@ class TestBuildDecisions:
         spec = FilterSpec("r", pop=0, push=1, data_type=INT,
                           state=(StateVar("s", INT, 0, 1),),
                           work_body=b.build())
-        with pytest.raises(Unvectorizable) as exc:
-            _build(spec)
+        with pytest.raises(_NeedScan) as exc:
+            _Builder(_runtime(spec), spec, False, frozenset()).build()
         assert str(exc.value) == reason
+        kernel = _assert_matches_interp(spec, (), 6)
+        assert kernel.scan.names == ("s",)
 
-    def test_float_iir_falls_back(self):
+    def test_float_iir_batches_through_the_scan(self):
         b = WorkBuilder()
         acc = b.var("acc")
         b.set(acc, acc * 0.9 + b.pop())
@@ -116,17 +150,24 @@ class TestBuildDecisions:
         spec = FilterSpec("iir", pop=1, push=1,
                           state=(StateVar("acc", FLOAT, 0, 0.0),),
                           work_body=b.build())
-        with pytest.raises(Unvectorizable) as exc:
-            _build(spec)
+        with pytest.raises(_NeedScan) as exc:
+            _Builder(_runtime(spec), spec, False, frozenset()).build()
         assert str(exc.value) == \
             "stateful: float recurrence (state scaled by a non-integer)"
+        kernel = _assert_matches_interp(spec, [0.5 * k for k in range(9)],
+                                        9)
+        assert kernel.scan.names == ("acc",)
 
-    def test_stateful_accumulator_falls_back(self):
-        # acc folds popped data into state: the update is data-dependent,
-        # not a map of build-time constants.
-        with pytest.raises(Unvectorizable) as exc:
-            _build(checksum_sink("sink", pop=4))
+    def test_stateful_accumulator_batches_through_the_scan(self):
+        # acc folds popped data into state: not a map of build-time
+        # constants, but one exact left-to-right scan.
+        spec = checksum_sink("sink", pop=4)
+        with pytest.raises(_NeedScan) as exc:
+            _Builder(_runtime(spec), spec, False, frozenset()).build()
         assert str(exc.value) == "stateful: state folds stream data"
+        kernel = _assert_matches_interp(
+            spec, [0.1 * k - 1.0 for k in range(20)], 5)
+        assert kernel.scan.names == ("acc",)
 
     def test_modular_counter_vectorizes(self):
         # (ph + 1) % 8 is the a = 1 case of the recurrence.
@@ -174,19 +215,22 @@ class TestBuildDecisions:
         assert "branch" in str(exc.value)
 
     def test_data_dependent_array_index_falls_back(self):
+        # A ring cursor index batches (see test_vector_state_lanes); an
+        # index read from the stream does not.
         from repro.ir import ArrayHandle
         b = WorkBuilder()
         delay = ArrayHandle("delay")
         ph = b.var("ph")
-        b.push(delay[ph])
+        b.push(delay[b.pop()])
         b.set(delay[ph], b.pop())
         b.set(ph, (ph + 1) % 4)
         spec = FilterSpec(
-            "delay", pop=1, push=1,
+            "delay", pop=2, push=1,
             state=(StateVar("delay", FLOAT, 4, 0.0),
                    StateVar("ph", INT, 0, 0)),
             work_body=b.build())
-        with pytest.raises(Unvectorizable):
+        with pytest.raises(Unvectorizable,
+                           match="data-dependent array index"):
             _build(spec)
 
     def test_pow_and_atan2_vectorize(self):
@@ -216,14 +260,13 @@ class TestRuntimeRouting:
 
     def _mixed_graph(self):
         # ramp (vector, affine state) -> doubler (vector, stateless) ->
-        # checksum (fallback: its state folds stream data).
+        # sink (fallback: it branches on stream data).
         b = WorkBuilder()
         with b.loop("i", 0, 8):
             b.push(b.pop() * 2.0)
         doubler = FilterSpec("doubler", pop=8, push=8, work_body=b.build())
         return flatten(Program("mixed", pipeline(
-            ramp_source("ramp", push=8), doubler,
-            checksum_sink("sink", pop=8))))
+            ramp_source("ramp", push=8), doubler, _branch_sink("sink"))))
 
     def test_mixed_graph_reports_both_modes(self):
         graph = self._mixed_graph()
@@ -254,18 +297,20 @@ class TestRuntimeRouting:
                {a: dict(c.events) for a, c in
                 ref.steady_counters.by_actor.items()}
 
-    def test_running_example_mixes_modes(self):
+    def test_running_example_batches_every_actor(self):
+        # Its folding accumulators (F, H) run on the sequential scan and
+        # its delay line (C_h) on the ring lane.
         graph = flatten(get_benchmark("RunningExample"))
         result = execute(graph, machine=CORE_I7, iterations=2,
                          backend="vector")
-        modes = set()
-        for status in result.vectorized.values():
-            modes.add("vector" if status.startswith("vector")
-                      else "fallback")
-        assert modes == {"vector", "fallback"}
+        assert all(status.startswith("vector")
+                   for status in result.vectorized.values())
+        ref = execute(graph, machine=CORE_I7, iterations=2,
+                      backend="interp")
+        assert result.outputs == ref.outputs
 
     def test_fallback_reasons_are_recorded(self):
-        graph = flatten(get_benchmark("RunningExample"))
+        graph = self._mixed_graph()
         result = execute(graph, iterations=1, backend="vector")
         reasons = [v for v in result.vectorized.values()
                    if v.startswith("fallback: ")]

@@ -100,12 +100,18 @@ class TestMemo:
         b = WorkBuilder()
         b.push(b.pop() * 2.0)
         doubler = FilterSpec("doubler", pop=1, push=1, work_body=b.build())
+        b = WorkBuilder()
+        x = b.let("x", b.pop())
+        with b.if_(x.gt(0.0)):          # a data-dependent branch refuses
+            b.push(x)
+        with b.orelse():
+            b.push(0.0 - x)
+        sink = FilterSpec("sink", pop=1, push=1, work_body=b.build())
         graph = flatten(Program("memo", pipeline(
-            ramp_source("ramp", push=8), doubler,
-            checksum_sink("sink", pop=8))))
+            ramp_source("ramp", push=8), doubler, sink)))
         be = VectorBackend()
         first = execute(graph, iterations=3, backend=be)
-        # The refusal (the checksum sink) is kept along with the kernels.
+        # The refusal (the branching sink) is kept along with the kernels.
         assert sorted(builds) == ["doubler", "ramp", "sink"]
         assert _statuses(graph, first)["sink"].startswith("fallback: ")
         second = execute(graph, iterations=3, backend=be)
