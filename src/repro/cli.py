@@ -422,9 +422,12 @@ def _run(args: argparse.Namespace, tracer) -> int:
         print(f"  vectorized actors: {vec}/{len(simd.vectorized)}")
         print(f"  batched firings: {simd.batched_firings}")
         for actor_id, status in sorted(simd.vectorized.items()):
+            name = compiled.graph.actors[actor_id].name
+            tape_reason = status.partition(" (tape fallback: ")[2]
             if not status.startswith("vector"):
-                name = compiled.graph.actors[actor_id].name
                 print(f"    fallback {name}: {status.split(': ', 1)[-1]}")
+            elif tape_reason:
+                print(f"    tape fallback {name}: {tape_reason[:-1]}")
     if matches != compared or compared == 0:
         print(f"error: MacroSS outputs diverge from the scalar graph "
               f"({matches}/{compared} identical)", file=sys.stderr)

@@ -304,7 +304,7 @@ class Channel:
             self._await_items(count)
             return self._tape.peek_block(count)
 
-    def window(self, count: int, arrays: bool = True) -> Optional[Any]:
+    def window(self, count: int) -> Optional[Any]:
         """The batch protocol's window fetch, blocking until the producing
         core has committed all ``count`` items.  ``None`` (run the batch
         per firing) when the window could never be resident at once
@@ -314,7 +314,7 @@ class Channel:
             return None
         with self._cond:
             self._await_items(count)
-            window = self._tape.window(count, arrays)
+            window = self._tape.window(count)
             # A list window is already a copy; an ndarray one is a live
             # view of storage the producer is free to move.
             return window if isinstance(window, list) else window.copy()

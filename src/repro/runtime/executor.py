@@ -89,10 +89,14 @@ class ExecutionResult:
     #: recurrence ``s ← (a·s + c) % m`` runs as an int64 jump-ahead scan),
     #: ``"vector:mover"`` (batched native mover), or
     #: ``"fallback: <reason>"`` (per-firing compiled path).  When a
-    #: batched actor's ndarray tape degraded to list storage mid-run
-    #: (vector payloads, non-numeric elements, ints beyond exact range)
-    #: the status is suffixed ``" (tape fallback: <reason>)"``.  ``None``
-    #: for other backends.
+    #: batched actor's ndarray tape degraded to list storage mid-run — a
+    #: payload its rows cannot hold exactly: a ragged or non-float vector,
+    #: a scalar on a vector tape or a vector on a scalar one, non-numeric
+    #: elements, ints beyond exact range — the status is suffixed
+    #: ``" (tape fallback: <reason>)"`` (``macross run`` prints one
+    #: ``tape fallback`` line per such actor).  A vector of ``W`` floats
+    #: is a float64 row and does not degrade.  ``None`` for other
+    #: backends.
     vectorized: Optional[Dict[int, str]] = None
     #: steady-phase firings executed through a batched fast path (array
     #: kernel or batched mover); 0 for non-batching backends.
@@ -391,9 +395,10 @@ class _GraphRun:
 def _annotate_tape_fallbacks(run: _GraphRun,
                              vectorized: Dict[int, str]) -> None:
     """Suffix batched actors' statuses with the degrade reason of any
-    adjacent ndarray tape that fell back to list storage mid-run (vector
-    payloads, non-numeric elements, ints beyond exact range) — the
-    record the dtype-edge tests and the obs layer read."""
+    adjacent ndarray tape that fell back to list storage mid-run (ragged
+    or non-float vectors, scalar/vector mix-ups, non-numeric elements,
+    ints beyond exact range) — the record the dtype-edge tests and the
+    obs layer read."""
     for actor_id, status in vectorized.items():
         if not status.startswith("vector"):
             continue

@@ -41,6 +41,7 @@ from ..graph.builtins import (
     SplitterSpec,
 )
 from ..perf import events as ev
+from .tape import np
 
 FireFn = Callable[[], None]
 #: A batch closure fires ``n`` times and reports whether the batched fast
@@ -256,7 +257,6 @@ def make_batch_mover(run: Any, actor: Any, fire: FireFn) -> Optional[BatchFn]:
         return None
     m, in_tapes, out_tapes, charge = bound
     unpack, pack = m.in_width > 1, m.out_width > 1
-    arrays = m.op == COPY    # vector items only exist as Python lists
     runs = strided_runs(m)
     inputs = list(zip(in_tapes, m.pops))
     out_plan = [(tape, rate, [r for r in runs if r.dst_port == port])
@@ -274,11 +274,18 @@ def make_batch_mover(run: Any, actor: Any, fire: FireFn) -> Optional[BatchFn]:
         for tape, rate in inputs:
             # A channel window *blocks* until the producing core has
             # committed it — the batched analogue of its blocking pops.
-            window = tape.window(n * rate, arrays)
+            window = tape.window(n * rate)
             if window is None:
                 # Nothing consumed yet (peeks only): per-firing is safe.
                 return refire(n)
             windows.append(window)
+        # Rows in, rows out: every window in machine layout, and a pack
+        # only from float64 columns (a vector lane must be a float).
+        rows = not any(type(w) is list for w in windows) and (
+            not pack or all(w.dtype.kind == "f" for w in windows))
+        if not rows:
+            # A degraded tape (or int lanes to pack): exact Python values.
+            windows = [w if type(w) is list else w.tolist() for w in windows]
         # A copied window's slots are released before any (possibly
         # blocking) downstream commit, so cores never wedge on each other;
         # a window that may alias tape storage is released after.
@@ -287,14 +294,23 @@ def make_batch_mover(run: Any, actor: Any, fire: FireFn) -> Optional[BatchFn]:
                 tape.advance_reader(n * rate)
         for tape, rate, port_runs in out_plan:
             for r in port_runs:
-                columns = [windows[port][off::period]
-                           for port, off, period, _ in r.srcs]
-                if unpack:
-                    columns = [[vector[src[3]] for vector in column]
-                               for column, src in zip(columns, r.srcs)]
-                tape.write_strided(r.dst_off, r.dst_period,
-                                   [list(lanes) for lanes in zip(*columns)]
-                                   if pack else columns[0])
+                if rows:
+                    # Strided slices of the windows; a vector's lanes are
+                    # columns of a 2-d window, stacked in ``perm`` order.
+                    columns = [windows[port][off::period, lane] if unpack
+                               else windows[port][off::period]
+                               for port, off, period, lane in r.srcs]
+                    column = np.stack(columns, axis=1) if pack \
+                        else columns[0]
+                else:
+                    columns = [windows[port][off::period]
+                               for port, off, period, _ in r.srcs]
+                    if unpack:
+                        columns = [[vector[src[3]] for vector in column]
+                                   for column, src in zip(columns, r.srcs)]
+                    column = [list(lanes) for lanes in zip(*columns)] \
+                        if pack else columns[0]
+                tape.write_strided(r.dst_off, r.dst_period, column)
             tape.advance_writer(n * rate)
         for tape, rate in inputs:
             if not tape.window_is_copy:

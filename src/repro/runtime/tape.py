@@ -18,9 +18,14 @@ the same repertoire and the same observable behaviour (values, lengths,
 error types *and* messages — pinned by the differential property suite),
 but backed by a dtype-tracked int64/float64 ndarray with zero-copy window
 views (``peek_block_array``) and ndarray commits (``write_strided``), so
-batch kernels never round-trip Python lists.  Payloads the array cannot
-represent (vectors, bools, ints beyond the exact range) degrade the tape
-to the inherited list representation, permanently and safely.
+batch kernels never round-trip Python lists.  A *vector tape* (§3.3: SW-wide
+items, the first value a list of ``W`` floats) keeps its items as the rows
+of one ``(items, W)`` float64 array, so the horizontal actors and the
+HSplitter/HJoiner movers read and commit lanes as strided array slices.
+Payloads the array cannot represent (ragged or non-float vectors, a scalar
+on a vector tape or a vector on a scalar one, bools, ints beyond the exact
+range) degrade the tape to the inherited list representation, permanently
+and safely.
 
 Storage is one of two orthogonal choices; the other, flow control, is
 :class:`~repro.multicore.channels.Channel` — a bounded-blocking wrapper
@@ -28,11 +33,12 @@ around either storage.  All three speak the same **batch protocol**, which
 is everything the batch paths (:mod:`.movers`, the vector kernels) know
 about a tape's representation:
 
-* ``window(count, arrays)`` — the next ``count`` committed items as an
-  ndarray (pure int64/float64 content, when ``arrays``) or a list, or
-  ``None``: run this batch per firing;
+* ``window(count)`` — the next ``count`` committed items as an ndarray
+  (pure int64/float64 content, ``(count, W)`` rows on a vector tape) or a
+  list, or ``None``: run this batch per firing;
 * ``write_strided(offset, stride, column)`` — stage a list *or* ndarray
-  column; an np scalar never reaches list storage;
+  column (a 2-d one, or a list of ``W``-float lists, on a vector tape); an
+  np scalar never reaches list storage;
 * ``window_is_copy`` — whether the reader is released before the batch
   commits its outputs (a copy) or after (the window may alias storage);
 * ``batchable`` — whether the batch path may bypass the per-item methods.
@@ -46,6 +52,7 @@ per-firing paths bind them once and call them millions of times.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, List, Optional
 
 from .errors import StreamRuntimeError, TapeUnderflow, UninitializedRead
@@ -132,7 +139,7 @@ class Tape:
         """Write ``values[j]`` at ``offset + j * stride`` past the write
         pointer without advancing it — ``len(values)`` ``rpush`` calls in
         one slice assignment.  This is the batch protocol's column stage:
-        ``values`` is a list or a 1-d ndarray."""
+        ``values`` is a list or an ndarray (2-d: one row per vector item)."""
         if offset < 0:
             raise ValueError(f"{self.name}: negative rpush offset {offset}")
         if stride < 1:
@@ -213,15 +220,15 @@ class Tape:
         of them, so its batches are replayed per firing instead."""
         return type(self) is Tape or type(self) is NdTape
 
-    def window(self, count: int, arrays: bool = True) -> Optional[Any]:
+    def window(self, count: int) -> Optional[Any]:
         """The next ``count`` committed items for one batch: an ndarray
-        when ``arrays`` and the content is pure int64/float64 machine
-        layout, else a list — or ``None`` when the batch must run per
+        when the content is pure int64/float64 machine layout (rows on a
+        vector tape), else a list — or ``None`` when the batch must run per
         firing (fewer than ``count`` items committed, e.g. a short
         feedback window, or a tape that is not :attr:`batchable`)."""
         if not self.batchable or self._wp - self._head < count:
             return None
-        view = self.peek_block_array(count) if arrays else None
+        view = self.peek_block_array(count)
         return self.peek_block(count) if view is None else view
 
     def peek_block_array(self, count: int) -> Optional[Any]:
@@ -253,7 +260,7 @@ _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
 
 #: Injectable defect (mutation tests only): rotates every ndarray window
-#: read by this many slots — the classic off-by-one ring-wrap bug.  The
+#: read by this many items — the classic off-by-one ring-wrap bug.  The
 #: differential oracles must catch and shrink it.
 _MUT_ND_WINDOW_SHIFT = 0
 
@@ -273,20 +280,29 @@ class NdTape(Tape):
       commit output columns as **array slice assignments**
       (:meth:`write_strided` of an ndarray) with no per-batch
       ``asarray``/``tolist``;
-    * the dtype is adopted from the first value written (int64 for
-      ``int``, float64 for ``float``) and promoted int64→float64 when
-      floats arrive mid-stream.  A promoted ("mixed") tape keeps a
+    * the kind is adopted from the first value written: int64 for
+      ``int``, float64 for ``float``, and ``(cap, W)`` float64 rows for a
+      list of exactly ``W`` Python floats — a **vector tape**, whose
+      windows are ``(count, W)`` views and whose columns are 2-d arrays
+      (or lists of ``W``-float lists).  int64 is promoted to float64 when
+      floats arrive mid-stream; a promoted ("mixed") tape keeps a
       per-slot ``_int_mask`` so reads restore the exact Python type;
-    * payloads the array cannot hold — vector (list) elements, bools,
-      ints beyond the int64 / float64-exact range — **degrade** the tape
-      to the inherited list representation (sticky; the reason is kept in
+    * reads of a vector tape (``pop``, ``peek``, ``peek_block``,
+      ``drain``) hand out fresh lists of floats (``row.tolist()``), never
+      the pushed list itself.  No program can tell: the interpreter
+      copies a vector on ``VPush`` and on every assignment.  float64
+      rows hold Python floats exactly, NaN, ±inf and −0.0 included;
+    * payloads the array cannot hold **degrade** the tape to the
+      inherited list representation (sticky; the reason is kept in
       ``degrade_reason`` and surfaced through
-      ``ExecutionResult.vectorized``).
+      ``ExecutionResult.vectorized``): a ragged vector, a vector lane that
+      is not a float, a scalar on a vector tape, a vector on a scalar
+      tape, bools, and ints beyond the int64 / float64-exact range.
 
-    A staged-write mask (``_written``) reproduces the list tape's
-    ``_UNWRITTEN`` hole semantics for ``rpush`` gaps, and the tape resets
-    to the no-dtype state whenever it empties completely, so per-phase
-    dtype changes never force a degrade.
+    A staged-write mask (``_written``, one flag per item on either kind)
+    reproduces the list tape's ``_UNWRITTEN`` hole semantics for ``rpush``
+    gaps, and the tape resets to the no-kind state whenever it empties
+    completely, so per-phase kind changes never force a degrade.
     """
 
     __slots__ = ("_arr", "_written", "_int_mask", "_kind", "_tail",
@@ -301,15 +317,17 @@ class NdTape(Tape):
         self._arr: Optional[Any] = None       # int64/float64 backing array
         self._written: Optional[Any] = None   # bool mask: slot was staged
         self._int_mask: Optional[Any] = None  # bool mask: slot holds an int
-        self._kind: Optional[str] = None      # None | "int" | "float" | "mixed"
+        # None | "int" | "float" | "mixed" | "vector"
+        self._kind: Optional[str] = None
         self._tail = 0                        # one past the furthest staged slot
         self.degrade_reason: Optional[str] = None
 
     # -- representation state --------------------------------------------------
     @property
     def dtype_kind(self) -> Optional[str]:
-        """``"int"``/``"float"``/``"mixed"`` in array mode, ``"list"``
-        after a degrade, ``None`` while empty with no dtype adopted."""
+        """``"int"``/``"float"``/``"mixed"``/``"vector"`` in array mode,
+        ``"list"`` after a degrade, ``None`` while empty with no kind
+        adopted."""
         if self.degrade_reason is not None:
             return "list"
         return self._kind
@@ -320,20 +338,37 @@ class NdTape(Tape):
             return "vector payload"
         return f"non-numeric payload ({type(value).__name__})"
 
+    @classmethod
+    def _row_reason(cls, value: Any, width: int) -> Optional[str]:
+        """Why ``value`` cannot be a row of a ``width``-lane vector tape,
+        or ``None`` when it can: a list of exactly ``width`` floats."""
+        if type(value) is not list:
+            if type(value) in (int, float):
+                return "scalar payload on a vector tape"
+            return cls._reason_for(value)
+        if len(value) != width or not width:
+            return "ragged vector payload"
+        for lane in value:
+            if type(lane) is not float:
+                return f"non-float vector lane ({type(lane).__name__})"
+        return None
+
     def _degrade(self, reason: str) -> None:
         """Switch permanently to the inherited list representation,
-        materializing committed and staged slots (holes stay holes)."""
+        materializing committed and staged slots (holes stay holes; rows
+        become lists again)."""
         buf: List[Any] = []
         arr, written, mask = self._arr, self._written, self._int_mask
         if arr is not None and self._tail > self._head:
-            as_int = arr.dtype.kind == "i"
-            for i in range(self._head, self._tail):
-                if not written[i]:
+            span = slice(self._head, self._tail)
+            ints = mask[span].tolist() if mask is not None \
+                else repeat(False)
+            for value, staged, is_int in zip(arr[span].tolist(),
+                                             written[span].tolist(), ints):
+                if not staged:
                     buf.append(_UNWRITTEN)
-                elif as_int or (mask is not None and mask[i]):
-                    buf.append(int(arr[i]))
                 else:
-                    buf.append(float(arr[i]))
+                    buf.append(int(value) if is_int else value)
         self._buf = buf
         self._wp -= self._head
         self._head = 0
@@ -344,14 +379,16 @@ class NdTape(Tape):
         self._kind = None
         self.degrade_reason = reason
 
-    def _adopt(self, kind: str) -> None:
-        """Adopt a dtype while logically empty (reuses the allocation when
-        the dtype matches; stale staged-write flags are cleared)."""
+    def _adopt(self, kind: str, width: int = 0) -> None:
+        """Adopt a kind while logically empty — ``width`` lanes per row for
+        ``"vector"`` (reuses the allocation when dtype and row shape match;
+        stale staged-write flags are cleared)."""
         dtype = np.int64 if kind == "int" else np.float64
+        row = (width,) if kind == "vector" else ()
         arr = self._arr
-        if arr is None or arr.dtype != dtype:
+        if arr is None or arr.dtype != dtype or arr.shape[1:] != row:
             cap = 16 if arr is None else len(arr)
-            self._arr = np.zeros(cap, dtype=dtype)
+            self._arr = np.zeros((cap,) + row, dtype=dtype)
             self._written = np.zeros(cap, dtype=bool)
         else:
             self._written[:] = False
@@ -383,7 +420,7 @@ class NdTape(Tape):
     def _grow(self, index: int) -> None:
         arr = self._arr
         cap = max(len(arr) * 2, index + 1)
-        new = np.zeros(cap, dtype=arr.dtype)
+        new = np.zeros((cap,) + arr.shape[1:], dtype=arr.dtype)
         new[:len(arr)] = arr
         self._arr = new
         grown = np.zeros(cap, dtype=bool)
@@ -424,6 +461,8 @@ class NdTape(Tape):
     def _value_at(self, i: int) -> Any:
         if self._kind == "int":
             return int(self._arr[i])
+        if self._kind == "vector":
+            return self._arr[i].tolist()
         v = self._arr[i]
         if self._int_mask is not None and self._int_mask[i]:
             return int(v)
@@ -442,10 +481,21 @@ class NdTape(Tape):
         if last >= self._tail:
             self._tail = last + 1
 
-    def _write_scalar(self, index: int, value: Any) -> bool:
+    def _write_item(self, index: int, value: Any) -> bool:
         """Stage ``value`` at absolute ``index``.  Returns ``False`` after
         degrading (caller redoes the operation through the list path)."""
         t = type(value)
+        k = self._kind
+        if k == "vector" or (k is None and t is list):
+            width = len(value) if k is None else self._arr.shape[1]
+            reason = self._row_reason(value, width)
+            if reason is not None:
+                self._degrade(reason)
+                return False
+            if k is None:
+                self._adopt("vector", width)
+            self._stage(index, index, value, False)
+            return True
         if t is int:
             vkind = "int"
         elif t is float:
@@ -453,7 +503,6 @@ class NdTape(Tape):
         else:
             self._degrade(self._reason_for(value))
             return False
-        k = self._kind
         if k is None:
             self._adopt(vkind)
         elif k == "int" and vkind == "float":
@@ -472,10 +521,44 @@ class NdTape(Tape):
         self._stage(index, index, value, vkind == "int")
         return True
 
+    def _admit_rows(self, values: Any) -> Optional[bool]:
+        """Adopt or check vector storage for a column whose first item is
+        a row (a 2-d ndarray, or a list of lists).  Returns ``False`` (no
+        int flags), or ``None`` after degrading."""
+        k = self._kind
+        if k not in (None, "vector"):
+            self._degrade("vector payload")
+            return None
+        if isinstance(values, list):
+            width = len(values[0]) if k is None else self._arr.shape[1]
+            for row in values:
+                reason = self._row_reason(row, width)
+                if reason is not None:
+                    self._degrade(reason)
+                    return None
+        else:
+            if values.ndim != 2:
+                self._degrade("scalar payload on a vector tape")
+                return None
+            width = values.shape[1] if k is None else self._arr.shape[1]
+            if values.dtype.kind != "f":
+                self._degrade(f"non-float vector lane (dtype {values.dtype})")
+                return None
+            if values.shape[1] != width or not width:
+                self._degrade("ragged vector payload")
+                return None
+        if k is None:
+            self._adopt("vector", width)
+        return False
+
     def _admit_column(self, values: Any) -> Any:
         """Adopt/promote storage for a list or ndarray column.  Returns the
         column's int flags (one bool, or one per slot for a list mixing
         ints and floats), or ``None`` after degrading."""
+        rows = type(values[0]) is list if isinstance(values, list) \
+            else values.ndim == 2
+        if rows or self._kind == "vector":
+            return self._admit_rows(values)
         if isinstance(values, list):
             kinds = set(map(type, values))
             if not kinds <= {int, float}:
@@ -516,7 +599,7 @@ class NdTape(Tape):
     def push(self, value: Any) -> None:
         if self.degrade_reason is not None:
             Tape.push(self, value)
-        elif self._write_scalar(self._wp, value):
+        elif self._write_item(self._wp, value):
             self._wp += 1
         else:
             Tape.push(self, value)
@@ -525,7 +608,7 @@ class NdTape(Tape):
         if offset < 0:
             raise ValueError(f"{self.name}: negative rpush offset {offset}")
         if self.degrade_reason is not None or \
-                not self._write_scalar(self._wp + offset, value):
+                not self._write_item(self._wp + offset, value):
             Tape.rpush(self, value, offset)
 
     def _first_hole(self, count: int) -> Optional[int]:
@@ -578,7 +661,8 @@ class NdTape(Tape):
     def _view(self, count: int) -> Any:
         view = self._arr[self._head:self._head + count]
         if _MUT_ND_WINDOW_SHIFT:
-            view = np.roll(view, -_MUT_ND_WINDOW_SHIFT)
+            # By items: on a vector tape, rows rotate whole.
+            view = np.roll(view, -_MUT_ND_WINDOW_SHIFT, axis=0)
         return view
 
     def _block(self, count: int) -> List[Any]:
@@ -593,12 +677,13 @@ class NdTape(Tape):
         return [int(v) if m else v for v, m in zip(items, mask.tolist())]
 
     def peek_block_array(self, count: int) -> Optional[Any]:
-        """Zero-copy read-only view of the next ``count`` committed items,
-        or ``None`` when no pure int64/float64 view exists (degraded,
-        mixed int/float content, or no dtype adopted yet)."""
+        """Zero-copy read-only view of the next ``count`` committed items
+        — ``(count, W)`` on a vector tape — or ``None`` when no pure
+        int64/float64 view exists (degraded, mixed int/float content, or
+        no kind adopted yet)."""
         self._check_block(count)
         if self.degrade_reason is not None or \
-                self._kind not in ("int", "float"):
+                self._kind not in ("int", "float", "vector"):
             return None
         view = self._view(count)
         view.flags.writeable = False

@@ -7,10 +7,13 @@ consecutive firings as a handful of numpy array operations:
 
 * every tape read becomes a strided **slab** view over one
   ``peek_block`` window (``window[pos::A_in]`` is the column of values the
-  ``k``-th firing would read at relative position ``pos``);
+  ``k``-th firing would read at relative position ``pos``); on a vector
+  tape the window is its ``(items, SW)`` float64 rows and a ``vpop``
+  reads one column per lane, ``window[pos::A_in, lane]``;
 * every arithmetic op becomes one elementwise array op over such columns;
 * every tape write becomes one strided slice-assignment
-  (:meth:`~repro.runtime.tape.Tape.write_strided`);
+  (:meth:`~repro.runtime.tape.Tape.write_strided`) — of an ``(n, SW)``
+  stack of lane columns for a ``vpush``;
 * performance events are charged statically (``count × n``), exactly the
   totals the interpreter would have accumulated over ``n`` firings.
 
@@ -585,13 +588,23 @@ class BatchKernel:
             # an unknown tape subclass.  A channel window blocks instead
             # until the producing core has committed it (it does so within
             # this steady iteration) — the analogue of n blocking pops.
-            window = inp.window(need, not self.in_vector)
+            window = inp.window(need)
             if window is None:
                 return False
             if not isinstance(window, list):
                 # The window already lives in machine layout.
                 nd_view = window
+            elif self.in_vector:
+                # Vector items reach a list window only from a degraded
+                # tape: replay per firing.
+                return False
         if nd_view is not None:
+            if self.in_vector:
+                if nd_view.ndim != 2 or nd_view.shape[1] != self.width \
+                        or nd_view.dtype.kind != "f":
+                    return False
+            elif nd_view.ndim != 1:
+                return False
             int_mode = nd_view.dtype.kind == "i"
             absd = np.abs(nd_view.astype(np.float64)) if int_mode \
                 else np.abs(nd_view)
@@ -599,40 +612,24 @@ class BatchKernel:
             if m_window != m_window:    # window held a NaN
                 m_window = _INF
         elif need:
-            if self.in_vector:
-                width = self.width
-                kinds = set()
-                for row in window:
-                    if type(row) is not list or len(row) != width:
-                        return False
-                    kinds.update(map(type, row))
-                    for x in row:
-                        a = abs(x)
-                        if a > m_window:
-                            m_window = a
-                        elif a != a:
-                            m_window = _INF
-                if kinds != {float}:
-                    return False
+            kinds = set(map(type, window))
+            if kinds == {float}:
+                pass
+            elif kinds == {int}:
+                int_mode = True
             else:
-                kinds = set(map(type, window))
-                if kinds == {float}:
-                    pass
-                elif kinds == {int}:
-                    int_mode = True
-                else:
-                    return False
-                try:
-                    for x in window:
-                        a = abs(x)
-                        if int_mode:
-                            a = float(a)
-                        if a > m_window:
-                            m_window = a
-                        elif a != a:
-                            m_window = _INF
-                except OverflowError:
-                    return False
+                return False
+            try:
+                for x in window:
+                    a = abs(x)
+                    if int_mode:
+                        a = float(a)
+                    if a > m_window:
+                        m_window = a
+                    elif a != a:
+                        m_window = _INF
+            except OverflowError:
+                return False
         else:
             window = []
         if need and self.window_mode is not None \
@@ -746,8 +743,6 @@ class BatchKernel:
             try:
                 arr = np.asarray(window, dtype=np.float64)
             except (ValueError, OverflowError, TypeError):
-                return False
-            if self.in_vector and arr.ndim != 2:
                 return False
         a_in = self.a_in
         shift = _MUT_READ_SHIFT
@@ -1043,27 +1038,40 @@ class BatchKernel:
         if kind == "r":
             return self._reg_to_list(src[1], regs, bvals, int_mode, n)
         # ('vec', lane_srcs): one list-valued column per firing.
-        lane_srcs = src[1]
-        if all(s[0] == "r" and self.rtags[s[1]] == "float"
-               and isinstance(regs[s[1]], np.ndarray)
-               and regs[s[1]].ndim == 1 for s in lane_srcs):
-            stacked = np.stack([regs[s[1]] for s in lane_srcs], axis=1)
-            return stacked.tolist()
         lanes = [self._materialize(s, regs, svals, bvals, int_mode, n)
-                 for s in lane_srcs]
+                 for s in src[1]]
         return [list(row) for row in zip(*lanes)]
 
     def _materialize_array(self, src: Tuple[Any, ...], regs: List[Any],
                            svals: List[Any], bvals: List[float],
                            int_mode: bool, n: int) -> Optional[Any]:
-        """ndarray analogue of _materialize for scalar output columns.
+        """ndarray analogue of _materialize: a 1-d int64/float64 column
+        for a scalar record, an ``(n, W)`` float64 one for a ``('vec',
+        lanes)`` record whose lanes are all float registers, float
+        constants or float state reads — the rows a vector tape stores.
 
         Returns None whenever the column cannot be represented losslessly
-        as an int64/float64 ndarray (bools, huge ints, vector payloads) —
-        the caller then falls back to the list path for the whole record
-        set so per-record ordering on the tape stays uniform.
+        that way (bools, huge ints, a vector with a non-float lane) — the
+        caller then falls back to the list path for the whole record set
+        so per-record ordering on the tape stays uniform.
         """
         kind = src[0]
+        if kind == "vec":
+            lanes = []
+            for lane in src[1]:
+                if lane[0] == "r":
+                    tag = self.rtags[lane[1]]
+                    if tag != "float" and (tag != "slab" or int_mode):
+                        return None
+                    col = regs[lane[1]]
+                else:
+                    col = lane[1] if lane[0] == "c" else svals[lane[1]]
+                    if type(col) is not float:
+                        return None
+                if not (isinstance(col, np.ndarray) and col.ndim == 1):
+                    col = np.full(n, float(col))
+                lanes.append(col)
+            return np.stack(lanes, axis=1)
         if kind == "c" or kind == "s":
             v = src[1] if kind == "c" else svals[src[1]]
             if type(v) is float:
@@ -1094,7 +1102,7 @@ class BatchKernel:
                     return col.astype(np.int64)
                 return None
             return col
-        return None  # ('vec', ...) columns carry list payloads
+        return None
 
     def _reg_to_list(self, idx: int, regs: List[Any], bvals: List[float],
                      int_mode: bool, n: int) -> List[Any]:

@@ -13,6 +13,12 @@ vacuous: the unit-level differential replay (list tape vs nd tape) and
 the end-to-end interp-vs-vector fuzz axis must both catch the armed
 defect — and the campaign must shrink it to a small repro — while the
 identical runs are clean with the seam disarmed.
+
+On a horizontally SIMDized graph the vector tapes hold ``(items, SW)``
+rows, which the seam rotates by whole items.  There the oracle must kill
+it, and :mod:`repro.runtime.movers`' ``_MUT_MOVER_SHIFT`` too, through
+the row windows of the HSplitter/HJoiner and the vector actors, and the
+shrinker must keep the repro horizontal.
 """
 
 from __future__ import annotations
@@ -23,14 +29,21 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+import repro.runtime.movers as movers_mod
 import repro.runtime.tape as tape_mod
+from repro.apps.registry import get_benchmark
 from repro.apps.sources import checksum_sink, ramp_source
 from repro.fuzz import check_program, run_fuzz
-from repro.fuzz.harness import check_graph
+from repro.fuzz.descriptions import (FilterDesc, ProgramDesc, SplitJoinDesc,
+                                     materialize)
+from repro.fuzz.harness import OPTION_SETS, check_graph
+from repro.fuzz.shrink import shrink
 from repro.graph.actor import FilterSpec
 from repro.graph.flatten import flatten
 from repro.graph.structure import Program, pipeline
 from repro.ir import WorkBuilder
+from repro.simd.machine import CORE_I7
+from repro.simd.pipeline import compile_graph
 
 from ..runtime.test_tape_properties import random_op, replay_differential
 
@@ -138,3 +151,102 @@ def test_clean_campaign_with_seam_disarmed():
     assert tape_mod._MUT_ND_WINDOW_SHIFT == 0
     report = run_fuzz(0, MUTATION_BUDGET, backends=("vector",))
     assert report.ok, "\n".join(str(f.divergence) for f in report.findings)
+
+
+# -- vector rows: the seam and the mover shift on a horizontal graph ----------
+
+#: Only the horizontal path: every vector tape it makes holds rows.
+HORIZONTAL = {"horizontal": OPTION_SETS["horizontal"]}
+
+SEAMS = [(tape_mod, "_MUT_ND_WINDOW_SHIFT"), (movers_mod, "_MUT_MOVER_SHIFT")]
+
+
+def _seam_id(seam):
+    return seam[1]
+
+
+@pytest.mark.fuzz
+def test_differential_replay_catches_window_shift_on_rows(monkeypatch):
+    """Armed, a rows window rotates by whole items — never by a lane."""
+    ops = [("push", [1.0, 2.0]), ("push", [3.0, 4.0]), ("push", [5.0, 6.0]),
+           ("peek_block", 3)]
+    tapes = replay_differential(ops)  # control arm
+    assert tapes["nd"].dtype_kind == "vector"
+    monkeypatch.setattr(tape_mod, "_MUT_ND_WINDOW_SHIFT", 1)
+    with pytest.raises(AssertionError):
+        replay_differential(ops)
+    nd = tape_mod.NdTape("t")
+    for op in ops[:3]:
+        nd.push(op[1])
+    assert nd.peek_block_array(3).tolist() == \
+        [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]]
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("seam", SEAMS, ids=_seam_id)
+def test_vector_axis_catches_seam_on_rows(seam, monkeypatch):
+    """BeamFormer's horizontal graph: the armed seam is caught while the
+    vector actors and the movers read ``(count, SW)`` row windows."""
+    module, name = seam
+    graph = flatten(get_benchmark("BeamFormer"))
+    assert check_graph(graph, option_sets=HORIZONTAL,
+                       backends=("vector",)).ok  # control arm
+    rows = []
+    real_view = tape_mod.NdTape._view
+
+    def spying_view(self, count):
+        view = real_view(self, count)
+        rows.append(view.ndim == 2)
+        return view
+
+    monkeypatch.setattr(tape_mod.NdTape, "_view", spying_view)
+    monkeypatch.setattr(module, name, 1)
+    report = check_graph(graph, option_sets=HORIZONTAL, backends=("vector",))
+    assert not report.ok, f"oracle missed the armed {name} on rows"
+    div = report.divergences[0]
+    assert div.kind == "backend"
+    assert div.config.startswith("horizontal/")
+    assert div.config.endswith("/vector")
+    assert any(rows), "no row window was read"
+
+
+def _horizontal_desc() -> ProgramDesc:
+    """src(8) -> rr(2)^4 split of isomorphic stateful arms -> join -> tail.
+    Horizontal SIMDization merges the arms into one vector actor between
+    an HSplitter and an HJoiner; every tape between them holds rows."""
+    arms = tuple((FilterDesc(name=f"h{k}", kind="stateful", pop=2, push=2,
+                             scale=0.5 * (k + 1)),) for k in range(4))
+    return ProgramDesc(source_push=8, name="tapemut_rows", stages=(
+        SplitJoinDesc("roundrobin", (2,) * 4, arms),))
+
+
+def _has_rows(desc: ProgramDesc) -> bool:
+    graph = compile_graph(flatten(materialize(desc)), CORE_I7,
+                          HORIZONTAL["horizontal"]).graph
+    return any(edge.is_vector for edge in graph.tapes.values())
+
+
+def _fails_on_rows(desc: ProgramDesc) -> bool:
+    return _has_rows(desc) and not check_program(
+        desc, option_sets=HORIZONTAL, backends=("vector",)).ok
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("seam", SEAMS, ids=_seam_id)
+def test_seam_on_rows_is_caught_and_shrunk(seam, monkeypatch):
+    module, name = seam
+    desc = _horizontal_desc()
+    assert _has_rows(desc)
+    assert check_program(desc, option_sets=HORIZONTAL,
+                         backends=("vector",)).ok  # control arm
+    monkeypatch.setattr(module, name, 1)
+    assert _fails_on_rows(desc), f"oracle missed the armed {name} on rows"
+    minimized = shrink(desc, _fails_on_rows, max_evals=60)
+    # Simpler, still a horizontal split-join, still failing while armed…
+    assert minimized != desc
+    assert minimized.filter_count() <= desc.filter_count()
+    assert _fails_on_rows(minimized)
+    # …and clean once the seam is disarmed.
+    monkeypatch.setattr(module, name, 0)
+    assert check_program(minimized, option_sets=HORIZONTAL,
+                         backends=("vector",)).ok

@@ -96,8 +96,8 @@ def test_cut_edges_keep_machine_layout(monkeypatch):
     seen = []
     real_window = Channel.window
 
-    def spying_window(self, count, arrays=True):
-        window = real_window(self, count, arrays)
+    def spying_window(self, count):
+        window = real_window(self, count)
         seen.append((type(self._tape), type(window)))
         return window
 
@@ -109,13 +109,31 @@ def test_cut_edges_keep_machine_layout(monkeypatch):
     assert np.ndarray in {window for _, window in seen}
 
 
-def test_cut_edge_degrade_is_reported():
+def test_cut_edge_degrade_is_reported(monkeypatch):
     """An actor next to a cut edge whose storage degraded says so, exactly
     like one next to a core-local tape — and the run still matches the
-    interpreter."""
+    interpreter.  Vector items no longer degrade a cut edge: they cross
+    as ``(items, SW)`` float64 rows.  A bool payload still degrades."""
+    import numpy as np
+
+    from repro.apps.sources import ramp_source
     from repro.fuzz.harness import OPTION_SETS
+    from repro.graph.actor import FilterSpec
+    from repro.graph.flatten import flatten
+    from repro.graph.structure import Program, pipeline
+    from repro.ir import WorkBuilder
+    from repro.multicore.channels import Channel
     from repro.simd.pipeline import compile_graph
 
+    seen = []
+    real_window = Channel.window
+
+    def spying_window(self, count):
+        window = real_window(self, count)
+        seen.append((self.dtype_kind, window))
+        return window
+
+    monkeypatch.setattr(Channel, "window", spying_window)
     graph = compile_graph(scalar_graph("FMRadio"), CORE_I7,
                           OPTION_SETS["horizontal"]).graph
     par = execute(graph, machine=CORE_I7, iterations=2, backend="vector",
@@ -128,8 +146,32 @@ def test_cut_edge_degrade_is_reported():
         if par.vectorized[actor].startswith("vector")}
     assert beside_cut_vector_edge
     for actor in beside_cut_vector_edge:
-        assert par.vectorized[actor].endswith(
-            " (tape fallback: vector payload)"), par.vectorized[actor]
+        assert "tape fallback" not in par.vectorized[actor], \
+            par.vectorized[actor]
+    rows = [window for kind, window in seen if kind == "vector"]
+    assert rows and all(isinstance(w, np.ndarray) and w.ndim == 2
+                        and w.dtype == np.float64 for w in rows)
     seq = execute(graph, machine=CORE_I7, iterations=2, backend="interp")
     assert canon(par.outputs) == canon(seq.outputs)
     assert canon(par.init_outputs) == canon(seq.init_outputs)
+
+    # src -> tobool | relay: the cut edge carries bools.
+    b = WorkBuilder()
+    b.push(b.let("x", b.pop()).gt(1.0))
+    tobool = FilterSpec("tobool", pop=1, push=1, work_body=b.build())
+    b = WorkBuilder()
+    b.push(b.pop())
+    relay = FilterSpec("relay", pop=1, push=1, work_body=b.build())
+    graph = flatten(Program("boolcut", pipeline(
+        ramp_source("src", push=4, step=0.5), tobool, relay)))
+    ids = {actor.name: actor.id for actor in graph.actors.values()}
+    par = parallel_execute(graph, machine=CORE_I7, iterations=2, cores=2,
+                           backend="vector",
+                           partition={ids["src"]: 0, ids["tobool"]: 0,
+                                      ids["relay"]: 1})
+    for name in ("tobool", "relay"):
+        assert par.vectorized[ids[name]].endswith(
+            " (tape fallback: non-numeric payload (bool))"), \
+            par.vectorized[ids[name]]
+    seq = execute(graph, machine=CORE_I7, iterations=2, backend="interp")
+    assert canon(par.outputs) == canon(seq.outputs)

@@ -4,9 +4,10 @@
 Every composition must be *observably identical* to the bare list tape —
 same values (and Python types), same lengths, same error types and
 messages — across the full repertoire, including rpush gaps, strided
-writes, drain, dtype transitions, degradation to list storage, and
-compaction boundaries.  Seeded random op sequences are replayed against
-all four and every single outcome is compared.
+writes, drain, dtype transitions, vector items kept as float64 rows,
+degradation to list storage, and compaction boundaries.  Seeded random op
+sequences are replayed against all four and every single outcome is
+compared.
 
 The one place flow control may show is an underflow: a channel *waits*
 for its producer instead of raising, so with a zero stall timeout it
@@ -106,9 +107,17 @@ _VALUES = [0, 1, -3, 7, 12345, 2 ** 40, 2 ** 60, 2 ** 64,
            [1.0, 2.0], [3, 4.5]]
 
 
-def random_op(rng: random.Random):
+#: Single-width (W = 2) float vectors — NaN, ±inf and −0.0 included …
+_ROWS = [[1.0, 2.0], [-0.0, 2.5], [float("nan"), float("inf")],
+         [1e300, -1e-9]]
+#: … and the intrusions that must degrade a rows tape: ragged, an int
+#: lane, a nested vector, scalars.
+_INTRUSIONS = [[1.0], [1.0, 2.0, 3.0], [3, 4.5], [[1.0], 2.0], 1.0, 7, True]
+
+
+def random_op(rng: random.Random, values=_VALUES):
     roll = rng.random()
-    value = rng.choice(_VALUES)
+    value = rng.choice(values)
     if roll < 0.30:
         return ("push", value)
     if roll < 0.45:
@@ -125,9 +134,9 @@ def random_op(rng: random.Random):
         return ("advance_reader", rng.randrange(0, 4))
     if roll < 0.97:
         count = rng.randrange(1, 5)
-        values = tuple(rng.choice(_VALUES) for _ in range(count))
+        column = tuple(rng.choice(values) for _ in range(count))
         return ("write_strided", rng.randrange(0, 4),
-                rng.randrange(1, 4), values)
+                rng.randrange(1, 4), column)
     return ("drain",)
 
 
@@ -179,6 +188,23 @@ def test_random_op_sequences_match_with_tiny_compaction(seed, monkeypatch):
     monkeypatch.setattr(tape_mod, "_COMPACT_THRESHOLD", 8)
     rng = random.Random(seed)
     replay_differential([random_op(rng) for _ in range(400)])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_vector_sequences_match(seed, monkeypatch):
+    """Vector items on all four compositions: even seeds stay on rows
+    for the whole sequence, odd seeds mix in intrusions, which degrade
+    the nd storage with identical outcomes and lengths.  Every fourth
+    seed crosses the compaction boundary constantly."""
+    if seed % 4 == 3:
+        monkeypatch.setattr(tape_mod, "_COMPACT_THRESHOLD", 8)
+    values = _ROWS if seed % 2 == 0 else _ROWS * 20 + _INTRUSIONS
+    rng = random.Random(seed)
+    tapes = replay_differential([random_op(rng, values)
+                                 for _ in range(250)])
+    if seed % 2 == 0 and "nd" in tapes:
+        assert tapes["nd"].degrade_reason is None
+        assert tapes["nd+channel"].degrade_reason is None
 
 
 # -- pinned scenarios ---------------------------------------------------------
@@ -354,6 +380,80 @@ def test_write_strided_array_huge_int_degrades_exactly():
     assert nd.drain() == [0.5, 2 ** 60]     # exact value preserved
 
 
+@needs_numpy
+@pytest.mark.parametrize("intrusion, reason", [
+    ([1.0], "ragged vector payload"),
+    ([3, 4.5], "non-float vector lane (int)"),
+    (1.0, "scalar payload on a vector tape"),
+    (True, "non-numeric payload (bool)"),
+], ids=["ragged", "int-lane", "scalar", "bool"])
+def test_intrusion_degrades_rows_exactly(intrusion, reason):
+    """Each intrusion reaches a rows tape by push, by an rpush into a
+    hole, and inside a strided column; the staged hole and the rows
+    before it survive the degrade."""
+    for stage in ([("push", intrusion)],
+                  [("rpush", intrusion, 0), ("advance_writer", 2)],
+                  [("write_strided", 0, 1, ([7.0, 8.0], intrusion)),
+                   ("advance_writer", 2)]):
+        ops = [("push", [1.0, 2.0]), ("rpush", [5.0, 6.0], 1), *stage,
+               ("peek_block", 3), ("pop",), ("drain",)]
+        tapes = replay_differential(ops)
+        assert tapes["nd"].degrade_reason == reason, stage
+        assert tapes["nd+channel"].degrade_reason == reason, stage
+
+
+@needs_numpy
+def test_write_strided_rows_match_list_of_lists_path():
+    import numpy as np
+    rows = np.array([[1.5, -0.0], [float("nan"), float("inf")], [3.5, 4.5]])
+    nd = NdTape("t")
+    plain = Tape("t")
+    nd.write_strided(0, 2, rows)
+    nd.write_strided(1, 2, rows.tolist())
+    nd.advance_writer(6)
+    plain.write_strided(0, 2, rows.tolist())
+    plain.write_strided(1, 2, rows.tolist())
+    plain.advance_writer(6)
+    assert nd.dtype_kind == "vector"
+    assert canon(nd.drain()) == canon(plain.drain())
+
+
+@needs_numpy
+def test_peek_block_array_of_rows_is_zero_copy_and_readonly():
+    import numpy as np
+    nd = NdTape("t")
+    for i in range(8):
+        nd.push([float(i), -float(i), 0.5])
+    view = nd.peek_block_array(5)
+    assert view.shape == (5, 3) and view.dtype == np.float64
+    assert view.tolist() == [[float(i), -float(i), 0.5] for i in range(5)]
+    assert np.shares_memory(view, nd._arr)  # a view, not a copy
+    assert not view.flags.writeable
+    with pytest.raises((ValueError, RuntimeError)):
+        view[0, 0] = 99.0
+
+
+@needs_numpy
+def test_vector_reads_are_fresh_lists():
+    """Value semantics: a pushed list is copied into its row, and every
+    read hands out a new list.  The interpreter copies a vector on
+    ``VPush`` and on every assignment, so no program can tell this from
+    list storage, which hands out the pushed object itself."""
+    nd = NdTape("t")
+    row = [1.0, 2.0]
+    nd.push(row)
+    row[0] = 99.0
+    first, second = nd.peek(0), nd.peek(0)
+    assert first == second == [1.0, 2.0] and first is not second
+    first[1] = -1.0
+    block = nd.peek_block(1)
+    assert block == [[1.0, 2.0]]
+    block[0][0] = -1.0
+    popped = nd.pop()
+    assert popped == [1.0, 2.0] and type(popped) is list
+    assert all(type(lane) is float for lane in popped)
+
+
 # -- flow control over nd storage (two threads) --------------------------------
 
 def _stream_blocks(kind, blocks, as_arrays):
@@ -387,7 +487,8 @@ def _stream_blocks(kind, blocks, as_arrays):
 @pytest.mark.parametrize("blocks", [
     [[i + 0.5 * j for j in range(8)] for i in range(40)],
     [[i * 8 + j for j in range(8)] for i in range(40)],
-], ids=["float", "int"])
+    [[[i + 0.25 * j, -0.5 * j] for j in range(8)] for i in range(40)],
+], ids=["float", "int", "rows"])
 def test_channel_over_nd_storage_hands_out_array_copies(blocks):
     import numpy as np
     windows, channel = _stream_blocks("nd+channel", blocks, as_arrays=True)
@@ -395,6 +496,7 @@ def test_channel_over_nd_storage_hands_out_array_copies(blocks):
     assert type(storage) is NdTape and storage.degrade_reason is None
     for window, block in zip(windows, blocks):
         assert isinstance(window, np.ndarray)
+        assert window.ndim == np.ndim(block)   # rows stay (count, W)
         # A copy taken under the lock, never a live view: the producer is
         # free to grow, compact or reset the array meanwhile.
         assert storage._arr is None or \

@@ -53,6 +53,36 @@ class TestCompileVariants:
         assert "diverge" in captured.err
 
 
+class TestRunTapeFallbacks:
+    def test_run_prints_one_line_per_tape_fallback(self, capsys,
+                                                   monkeypatch):
+        """FMRadio's vector tapes hold float64 rows: no ``tape fallback``
+        line.  With every row refused (both places a tape admits one),
+        each batched actor on a degraded tape gets one line naming the
+        reason."""
+        pytest.importorskip("numpy")
+        from repro.runtime.tape import NdTape
+        argv = ["run", "FMRadio", "--backend", "vector", "--iterations", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "vectorized actors: 14/14" in out
+        assert "tape fallback" not in out
+
+        def refuse_column(tape, values):
+            tape._degrade("ragged vector payload")
+
+        monkeypatch.setattr(NdTape, "_row_reason", classmethod(
+            lambda cls, value, width: "ragged vector payload"))
+        monkeypatch.setattr(NdTape, "_admit_rows", refuse_column)
+        assert main(argv) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "tape fallback" in line]
+        assert len(lines) == 8, lines
+        for line in lines:
+            assert line.startswith("    tape fallback ")
+            assert line.endswith(": ragged vector payload")
+
+
 #: Every command line whose only fault is a name no registry knows.
 UNKNOWN_NAMES = [
     ["run", "nosuchapp"],
