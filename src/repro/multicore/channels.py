@@ -306,18 +306,18 @@ class Channel:
 
     def window(self, count: int) -> Optional[Any]:
         """The batch protocol's window fetch, blocking until the producing
-        core has committed all ``count`` items.  ``None`` (run the batch
-        per firing) when the window could never be resident at once
-        (``count > capacity``: waiting would only ever time out) or the
-        storage is not batchable."""
+        core has committed all ``count`` items.  The storage's ndarray
+        window is copied (the producer is free to move the storage it
+        views).  ``None`` (run the batch per firing) when the storage has
+        no window — list storage — or is not batchable, or when the window
+        could never be resident at once (``count > capacity``: waiting
+        would only ever time out)."""
         if count > self.capacity or not self._tape.batchable:
             return None
         with self._cond:
             self._await_items(count)
             window = self._tape.window(count)
-            # A list window is already a copy; an ndarray one is a live
-            # view of storage the producer is free to move.
-            return window if isinstance(window, list) else window.copy()
+            return None if window is None else window.copy()
 
     def advance_reader(self, count: int) -> None:
         with self._cond:

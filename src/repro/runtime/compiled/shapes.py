@@ -37,10 +37,6 @@ def array_of(elem: Shape) -> Shape:
     return ("array", elem)
 
 
-def is_array_shape(shape: Shape) -> bool:
-    return isinstance(shape, tuple)
-
-
 def elem_shape(shape: Shape) -> Shape:
     """Element shape of an array shape (``UNKNOWN`` for non-arrays)."""
     return shape[1] if isinstance(shape, tuple) else UNKNOWN

@@ -90,9 +90,10 @@ class ExecutionResult:
     #: ``"vector:mover"`` (batched native mover), or
     #: ``"fallback: <reason>"`` (per-firing compiled path).  When a
     #: batched actor's ndarray tape degraded to list storage mid-run — a
-    #: payload its rows cannot hold exactly: a ragged or non-float vector,
-    #: a scalar on a vector tape or a vector on a scalar one, non-numeric
-    #: elements, ints beyond exact range — the status is suffixed
+    #: payload of another kind than its first value: an int on a float
+    #: tape or the reverse, a ragged or non-float vector, a scalar on a
+    #: vector tape or a vector on a scalar one, non-numeric elements, ints
+    #: beyond int64 — the status is suffixed
     #: ``" (tape fallback: <reason>)"`` (``macross run`` prints one
     #: ``tape fallback`` line per such actor).  A vector of ``W`` floats
     #: is a float64 row and does not degrade.  ``None`` for other
@@ -113,9 +114,6 @@ class ExecutionResult:
     def steady_cycles(self, machine: MachineDescription) -> float:
         """Modeled cycles for the measured steady iterations."""
         return self.steady_counters.cycles(machine)
-
-    def cycles_per_iteration(self, machine: MachineDescription) -> float:
-        return self.steady_cycles(machine) / max(1, self.iterations)
 
     def actor_cycles(self, machine: MachineDescription) -> Dict[int, float]:
         return self.steady_counters.cycles_by_actor(machine)
@@ -395,10 +393,11 @@ class _GraphRun:
 def _annotate_tape_fallbacks(run: _GraphRun,
                              vectorized: Dict[int, str]) -> None:
     """Suffix batched actors' statuses with the degrade reason of any
-    adjacent ndarray tape that fell back to list storage mid-run (ragged
-    or non-float vectors, scalar/vector mix-ups, non-numeric elements,
-    ints beyond exact range) — the record the dtype-edge tests and the
-    obs layer read."""
+    adjacent ndarray tape that fell back to list storage mid-run — a
+    payload of another kind than the tape's first value (a float on an
+    int tape or the reverse, a scalar/vector mix-up, a ragged or
+    non-float vector, a non-numeric element, an int beyond int64) — the
+    record the dtype-edge tests and the obs layer read."""
     for actor_id, status in vectorized.items():
         if not status.startswith("vector"):
             continue

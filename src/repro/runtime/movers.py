@@ -272,20 +272,18 @@ def make_batch_mover(run: Any, actor: Any, fire: FireFn) -> Optional[BatchFn]:
             return refire(n)
         windows = []
         for tape, rate in inputs:
-            # A channel window *blocks* until the producing core has
-            # committed it — the batched analogue of its blocking pops.
-            window = tape.window(n * rate)
-            if window is None:
-                # Nothing consumed yet (peeks only): per-firing is safe.
+            # A 0-rate port reads nothing (an empty tape with no kind yet
+            # has no window).  A channel window *blocks* until the
+            # producing core has committed it — the batched analogue of
+            # its blocking pops.
+            window = tape.window(n * rate) if rate else None
+            if rate and (window is None
+                         or pack and window.dtype.kind != "f"):
+                # List storage, a short window, or int lanes to pack (a
+                # vector lane must be a float).  Nothing consumed yet
+                # (peeks only): per-firing is safe.
                 return refire(n)
             windows.append(window)
-        # Rows in, rows out: every window in machine layout, and a pack
-        # only from float64 columns (a vector lane must be a float).
-        rows = not any(type(w) is list for w in windows) and (
-            not pack or all(w.dtype.kind == "f" for w in windows))
-        if not rows:
-            # A degraded tape (or int lanes to pack): exact Python values.
-            windows = [w if type(w) is list else w.tolist() for w in windows]
         # A copied window's slots are released before any (possibly
         # blocking) downstream commit, so cores never wedge on each other;
         # a window that may alias tape storage is released after.
@@ -294,22 +292,12 @@ def make_batch_mover(run: Any, actor: Any, fire: FireFn) -> Optional[BatchFn]:
                 tape.advance_reader(n * rate)
         for tape, rate, port_runs in out_plan:
             for r in port_runs:
-                if rows:
-                    # Strided slices of the windows; a vector's lanes are
-                    # columns of a 2-d window, stacked in ``perm`` order.
-                    columns = [windows[port][off::period, lane] if unpack
-                               else windows[port][off::period]
-                               for port, off, period, lane in r.srcs]
-                    column = np.stack(columns, axis=1) if pack \
-                        else columns[0]
-                else:
-                    columns = [windows[port][off::period]
-                               for port, off, period, _ in r.srcs]
-                    if unpack:
-                        columns = [[vector[src[3]] for vector in column]
-                                   for column, src in zip(columns, r.srcs)]
-                    column = [list(lanes) for lanes in zip(*columns)] \
-                        if pack else columns[0]
+                # Strided slices of the windows; a vector's lanes are
+                # columns of a 2-d window, stacked in ``perm`` order.
+                columns = [windows[port][off::period, lane] if unpack
+                           else windows[port][off::period]
+                           for port, off, period, lane in r.srcs]
+                column = np.stack(columns, axis=1) if pack else columns[0]
                 tape.write_strided(r.dst_off, r.dst_period, column)
             tape.advance_writer(n * rate)
         for tape, rate in inputs:

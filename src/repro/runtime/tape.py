@@ -22,10 +22,10 @@ batch kernels never round-trip Python lists.  A *vector tape* (§3.3: SW-wide
 items, the first value a list of ``W`` floats) keeps its items as the rows
 of one ``(items, W)`` float64 array, so the horizontal actors and the
 HSplitter/HJoiner movers read and commit lanes as strided array slices.
-Payloads the array cannot represent (ragged or non-float vectors, a scalar
-on a vector tape or a vector on a scalar one, bools, ints beyond the exact
-range) degrade the tape to the inherited list representation, permanently
-and safely.
+As in StreamIt, a tape carries one element type: the first value fixes
+it, and a payload of any other kind (an int on a float tape, a scalar on
+a vector tape, a ragged vector, a bool, an int beyond int64) degrades the
+tape to the inherited list representation, permanently and safely.
 
 Storage is one of two orthogonal choices; the other, flow control, is
 :class:`~repro.multicore.channels.Channel` — a bounded-blocking wrapper
@@ -34,8 +34,9 @@ is everything the batch paths (:mod:`.movers`, the vector kernels) know
 about a tape's representation:
 
 * ``window(count)`` — the next ``count`` committed items as an ndarray
-  (pure int64/float64 content, ``(count, W)`` rows on a vector tape) or a
-  list, or ``None``: run this batch per firing;
+  (int64 or float64, ``(count, W)`` rows on a vector tape), or ``None``:
+  run this batch per firing.  List storage — a plain :class:`Tape` or a
+  degraded :class:`NdTape` — never has a window;
 * ``write_strided(offset, stride, column)`` — stage a list *or* ndarray
   column (a 2-d one, or a list of ``W``-float lists, on a vector tape); an
   np scalar never reaches list storage;
@@ -52,7 +53,6 @@ per-firing paths bind them once and call them millions of times.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Any, List, Optional
 
 from .errors import StreamRuntimeError, TapeUnderflow, UninitializedRead
@@ -221,15 +221,13 @@ class Tape:
         return type(self) is Tape or type(self) is NdTape
 
     def window(self, count: int) -> Optional[Any]:
-        """The next ``count`` committed items for one batch: an ndarray
-        when the content is pure int64/float64 machine layout (rows on a
-        vector tape), else a list — or ``None`` when the batch must run per
-        firing (fewer than ``count`` items committed, e.g. a short
-        feedback window, or a tape that is not :attr:`batchable`)."""
+        """The next ``count`` committed items for one batch as an ndarray
+        (rows on a vector tape) — or ``None`` when the batch must run per
+        firing: list storage, fewer than ``count`` items committed (e.g. a
+        short feedback window), or a tape that is not :attr:`batchable`."""
         if not self.batchable or self._wp - self._head < count:
             return None
-        view = self.peek_block_array(count)
-        return self.peek_block(count) if view is None else view
+        return self.peek_block_array(count)
 
     def peek_block_array(self, count: int) -> Optional[Any]:
         """The next ``count`` committed items as an ndarray view of the
@@ -252,12 +250,13 @@ class Tape:
 # NdTape: the ndarray-native tape of the vector data plane
 # ==============================================================================
 
-#: Largest integer magnitude exactly representable in float64 — the same
-#: limit the vector kernels guard with (``2**53``).  Ints beyond it cannot
-#: share a float64 buffer with floats without silent rounding.
-_ND_EXACT_INT = 2 ** 53
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
+
+#: The scalar kinds an :class:`NdTape` stores, by Python type and by
+#: ndarray dtype kind.
+_SCALAR_KINDS = {int: "int", float: "float"}
+_DTYPE_KINDS = {"i": "int", "f": "float"}
 
 #: Injectable defect (mutation tests only): rotates every ndarray window
 #: read by this many items — the classic off-by-one ring-wrap bug.  The
@@ -280,24 +279,24 @@ class NdTape(Tape):
       commit output columns as **array slice assignments**
       (:meth:`write_strided` of an ndarray) with no per-batch
       ``asarray``/``tolist``;
-    * the kind is adopted from the first value written: int64 for
-      ``int``, float64 for ``float``, and ``(cap, W)`` float64 rows for a
-      list of exactly ``W`` Python floats — a **vector tape**, whose
-      windows are ``(count, W)`` views and whose columns are 2-d arrays
-      (or lists of ``W``-float lists).  int64 is promoted to float64 when
-      floats arrive mid-stream; a promoted ("mixed") tape keeps a
-      per-slot ``_int_mask`` so reads restore the exact Python type;
+    * the first value written fixes the tape's **kind**, one of three:
+      int64 for ``int``, float64 for ``float``, and ``(cap, W)`` float64
+      rows for a list of exactly ``W`` Python floats — a **vector tape**,
+      whose windows are ``(count, W)`` views and whose columns are 2-d
+      arrays (or lists of ``W``-float lists).  Nothing is ever promoted:
+      every slot holds a value of the tape's kind, so every read restores
+      the exact Python type from the dtype alone;
     * reads of a vector tape (``pop``, ``peek``, ``peek_block``,
       ``drain``) hand out fresh lists of floats (``row.tolist()``), never
       the pushed list itself.  No program can tell: the interpreter
       copies a vector on ``VPush`` and on every assignment.  float64
       rows hold Python floats exactly, NaN, ±inf and −0.0 included;
-    * payloads the array cannot hold **degrade** the tape to the
-      inherited list representation (sticky; the reason is kept in
-      ``degrade_reason`` and surfaced through
-      ``ExecutionResult.vectorized``): a ragged vector, a vector lane that
-      is not a float, a scalar on a vector tape, a vector on a scalar
-      tape, bools, and ints beyond the int64 / float64-exact range.
+    * any other payload **degrades** the tape to the inherited list
+      representation (sticky; the reason is kept in ``degrade_reason``
+      and surfaced through ``ExecutionResult.vectorized``): a float on an
+      int tape, an int on a float tape, a scalar on a vector tape, a
+      vector on a scalar tape, a ragged vector, a vector lane that is not
+      a float, bools, and ints beyond the int64 range.
 
     A staged-write mask (``_written``, one flag per item on either kind)
     reproduces the list tape's ``_UNWRITTEN`` hole semantics for ``rpush``
@@ -305,8 +304,7 @@ class NdTape(Tape):
     completely, so per-phase kind changes never force a degrade.
     """
 
-    __slots__ = ("_arr", "_written", "_int_mask", "_kind", "_tail",
-                 "degrade_reason")
+    __slots__ = ("_arr", "_written", "_kind", "_tail", "degrade_reason")
 
     def __init__(self, name: str = "tape") -> None:
         if not HAVE_NUMPY:
@@ -316,18 +314,15 @@ class NdTape(Tape):
         super().__init__(name)
         self._arr: Optional[Any] = None       # int64/float64 backing array
         self._written: Optional[Any] = None   # bool mask: slot was staged
-        self._int_mask: Optional[Any] = None  # bool mask: slot holds an int
-        # None | "int" | "float" | "mixed" | "vector"
-        self._kind: Optional[str] = None
+        self._kind: Optional[str] = None      # None | "int" | "float" | "vector"
         self._tail = 0                        # one past the furthest staged slot
         self.degrade_reason: Optional[str] = None
 
     # -- representation state --------------------------------------------------
     @property
     def dtype_kind(self) -> Optional[str]:
-        """``"int"``/``"float"``/``"mixed"``/``"vector"`` in array mode,
-        ``"list"`` after a degrade, ``None`` while empty with no kind
-        adopted."""
+        """``"int"``/``"float"``/``"vector"`` in array mode, ``"list"``
+        after a degrade, ``None`` while empty with no kind adopted."""
         if self.degrade_reason is not None:
             return "list"
         return self._kind
@@ -358,24 +353,17 @@ class NdTape(Tape):
         materializing committed and staged slots (holes stay holes; rows
         become lists again)."""
         buf: List[Any] = []
-        arr, written, mask = self._arr, self._written, self._int_mask
-        if arr is not None and self._tail > self._head:
+        if self._arr is not None and self._tail > self._head:
             span = slice(self._head, self._tail)
-            ints = mask[span].tolist() if mask is not None \
-                else repeat(False)
-            for value, staged, is_int in zip(arr[span].tolist(),
-                                             written[span].tolist(), ints):
-                if not staged:
-                    buf.append(_UNWRITTEN)
-                else:
-                    buf.append(int(value) if is_int else value)
+            buf = [value if staged else _UNWRITTEN for value, staged in
+                   zip(self._arr[span].tolist(),
+                       self._written[span].tolist())]
         self._buf = buf
         self._wp -= self._head
         self._head = 0
         self._tail = 0
         self._arr = None
         self._written = None
-        self._int_mask = None
         self._kind = None
         self.degrade_reason = reason
 
@@ -393,29 +381,18 @@ class NdTape(Tape):
         else:
             self._written[:] = False
         self._kind = kind
-        self._int_mask = None
 
-    def _promote(self) -> bool:
-        """int64 → float64 storage (floats arrived mid-stream).  Existing
-        ints must be float64-exact; each staged slot is remembered as an
-        int so reads restore the Python type.  Returns ``False`` (after
-        degrading) when an existing int is beyond the exact range."""
-        arr, written = self._arr, self._written
-        live = written[:self._tail]
-        if self._tail and live.any():
-            staged = arr[:self._tail][live].astype(np.float64)
-            if float(np.abs(staged).max()) > float(_ND_EXACT_INT):
-                self._degrade("int beyond float64-exact range")
-                return False
-        self._arr = arr.astype(np.float64)
-        self._int_mask = written.copy()
-        self._kind = "mixed"
+    def _admit(self, kind: str) -> bool:
+        """Admit scalars of ``kind`` (``"int"`` or ``"float"``): a tape
+        with no kind adopts it, a tape of another kind degrades (and
+        ``False`` tells the caller to redo its write on list storage)."""
+        k = self._kind
+        if k is None:
+            self._adopt(kind)
+        elif k != kind:
+            self._degrade(f"{kind} on {'an' if k == 'int' else 'a'} {k} tape")
+            return False
         return True
-
-    def _to_mixed(self) -> None:
-        """float64 storage gains an int mask (ints arrived mid-stream)."""
-        self._int_mask = np.zeros(len(self._arr), dtype=bool)
-        self._kind = "mixed"
 
     def _grow(self, index: int) -> None:
         arr = self._arr
@@ -426,10 +403,6 @@ class NdTape(Tape):
         grown = np.zeros(cap, dtype=bool)
         grown[:len(arr)] = self._written
         self._written = grown
-        if self._int_mask is not None:
-            mask = np.zeros(cap, dtype=bool)
-            mask[:len(arr)] = self._int_mask
-            self._int_mask = mask
 
     def _reset_empty(self) -> None:
         """Fully empty (no committed or staged items): drop the dtype so
@@ -440,7 +413,6 @@ class NdTape(Tape):
             self._written[:self._tail] = False
         self._head = self._wp = self._tail = 0
         self._kind = None
-        self._int_mask = None
 
     def _after_read(self) -> None:
         if self._head == self._tail:
@@ -451,42 +423,32 @@ class NdTape(Tape):
             n = self._tail - head
             self._arr[:n] = self._arr[head:self._tail].copy()
             self._written[:n] = self._written[head:self._tail].copy()
-            if self._int_mask is not None:
-                self._int_mask[:n] = self._int_mask[head:self._tail].copy()
             self._written[n:self._tail] = False
             self._wp -= head
             self._tail = n
             self._head = 0
 
     def _value_at(self, i: int) -> Any:
-        if self._kind == "int":
-            return int(self._arr[i])
         if self._kind == "vector":
             return self._arr[i].tolist()
-        v = self._arr[i]
-        if self._int_mask is not None and self._int_mask[i]:
-            return int(v)
-        return float(v)
+        return self._arr.item(i)
 
-    def _stage(self, where: Any, last: int, values: Any, ints: Any) -> None:
-        """The one staging tail: grow, assign, mark staged, record int-ness,
-        extend the staged tail.  ``where`` is one index or a strided slice
-        whose furthest slot is ``last``."""
+    def _stage(self, where: Any, last: int, values: Any) -> None:
+        """The one staging tail: grow, assign, mark staged, extend the
+        staged tail.  ``where`` is one index or a strided slice whose
+        furthest slot is ``last``."""
         if last >= len(self._arr):
             self._grow(last)
         self._arr[where] = values
         self._written[where] = True
-        if self._int_mask is not None:
-            self._int_mask[where] = ints
         if last >= self._tail:
             self._tail = last + 1
 
     def _write_item(self, index: int, value: Any) -> bool:
         """Stage ``value`` at absolute ``index``.  Returns ``False`` after
         degrading (caller redoes the operation through the list path)."""
-        t = type(value)
         k = self._kind
-        if k == "vector" or (k is None and t is list):
+        if k == "vector" or (k is None and type(value) is list):
             width = len(value) if k is None else self._arr.shape[1]
             reason = self._row_reason(value, width)
             if reason is not None:
@@ -494,106 +456,70 @@ class NdTape(Tape):
                 return False
             if k is None:
                 self._adopt("vector", width)
-            self._stage(index, index, value, False)
-            return True
-        if t is int:
-            vkind = "int"
-        elif t is float:
-            vkind = "float"
         else:
-            self._degrade(self._reason_for(value))
-            return False
-        if k is None:
-            self._adopt(vkind)
-        elif k == "int" and vkind == "float":
-            if not self._promote():
+            kind = _SCALAR_KINDS.get(type(value))
+            if kind is None:
+                self._degrade(self._reason_for(value))
                 return False
-        elif k == "float" and vkind == "int":
-            self._to_mixed()
-        if vkind == "int":
-            if self._kind == "int":
-                if not _INT64_MIN <= value <= _INT64_MAX:
-                    self._degrade("int beyond int64 range")
-                    return False
-            elif not -_ND_EXACT_INT <= value <= _ND_EXACT_INT:
-                self._degrade("int beyond float64-exact range")
+            if not self._admit(kind):
                 return False
-        self._stage(index, index, value, vkind == "int")
+            if kind == "int" and not _INT64_MIN <= value <= _INT64_MAX:
+                self._degrade("int beyond int64 range")
+                return False
+        self._stage(index, index, value)
         return True
 
-    def _admit_rows(self, values: Any) -> Optional[bool]:
+    def _admit_rows(self, values: Any) -> bool:
         """Adopt or check vector storage for a column whose first item is
-        a row (a 2-d ndarray, or a list of lists).  Returns ``False`` (no
-        int flags), or ``None`` after degrading."""
+        a row (a 2-d ndarray, or a list of lists); ``False`` after
+        degrading."""
         k = self._kind
         if k not in (None, "vector"):
             self._degrade("vector payload")
-            return None
+            return False
         if isinstance(values, list):
             width = len(values[0]) if k is None else self._arr.shape[1]
             for row in values:
                 reason = self._row_reason(row, width)
                 if reason is not None:
                     self._degrade(reason)
-                    return None
+                    return False
         else:
             if values.ndim != 2:
                 self._degrade("scalar payload on a vector tape")
-                return None
+                return False
             width = values.shape[1] if k is None else self._arr.shape[1]
             if values.dtype.kind != "f":
                 self._degrade(f"non-float vector lane (dtype {values.dtype})")
-                return None
+                return False
             if values.shape[1] != width or not width:
                 self._degrade("ragged vector payload")
-                return None
+                return False
         if k is None:
             self._adopt("vector", width)
-        return False
+        return True
 
-    def _admit_column(self, values: Any) -> Any:
-        """Adopt/promote storage for a list or ndarray column.  Returns the
-        column's int flags (one bool, or one per slot for a list mixing
-        ints and floats), or ``None`` after degrading."""
+    def _admit_column(self, values: Any) -> bool:
+        """Adopt or check storage for a list or ndarray column; ``False``
+        after degrading.  A list column's first item stands for the kind
+        of a tape that has none yet."""
         rows = type(values[0]) is list if isinstance(values, list) \
             else values.ndim == 2
         if rows or self._kind == "vector":
             return self._admit_rows(values)
-        if isinstance(values, list):
-            kinds = set(map(type, values))
-            if not kinds <= {int, float}:
-                bad = next(v for v in values if type(v) not in (int, float))
-                self._degrade(self._reason_for(bad))
-                return None
-            vkind = "int" if kinds == {int} else \
-                "float" if kinds == {float} else "mixed"
-        else:
-            vkind = {"i": "int", "f": "float"}.get(values.dtype.kind)
-            if vkind is None:
+        if not isinstance(values, list):
+            kind = _DTYPE_KINDS.get(values.dtype.kind)
+            if kind is None:
                 self._degrade(f"non-numeric payload (dtype {values.dtype})")
-                return None
-        k = self._kind
-        if k is None:
-            self._adopt("int" if vkind == "int" else "float")
-            if vkind == "mixed":
-                self._to_mixed()
-        elif k == "int" and vkind != "int":
-            if not self._promote():
-                return None
-        elif k == "float" and vkind != "float":
-            self._to_mixed()
-        if vkind != "float" and self._kind != "int":
-            # Ints sharing float64 storage must be float64-exact.
-            if isinstance(values, list):
-                worst = max(abs(v) for v in values if type(v) is int)
-            else:
-                worst = float(np.abs(values.astype(np.float64)).max())
-            if worst > _ND_EXACT_INT:
-                self._degrade("int beyond float64-exact range")
-                return None
-        if vkind == "mixed":
-            return [type(v) is int for v in values]
-        return vkind == "int"
+                return False
+            return self._admit(kind)
+        types = set(map(type, values))
+        if not types <= {int, float}:
+            bad = next(v for v in values if type(v) not in (int, float))
+            self._degrade(self._reason_for(bad))
+            return False
+        return all(self._admit(_SCALAR_KINDS[t])
+                   for t in (type(values[0]), *types))
 
     # -- writing ---------------------------------------------------------------
     def push(self, value: Any) -> None:
@@ -624,13 +550,11 @@ class NdTape(Tape):
         return None if seg.size == count else int(seg.size)
 
     def _stage_column(self, offset: int, stride: int, values: Any) -> None:
-        ints = None if self.degrade_reason is not None \
-            else self._admit_column(values)
-        if ints is not None:
+        if self.degrade_reason is None and self._admit_column(values):
             base = self._wp + offset
             last = base + (len(values) - 1) * stride
             try:
-                self._stage(slice(base, last + 1, stride), last, values, ints)
+                self._stage(slice(base, last + 1, stride), last, values)
                 return
             except (OverflowError, ValueError):  # nothing was assigned yet
                 self._degrade("int beyond int64 range")
@@ -668,22 +592,14 @@ class NdTape(Tape):
     def _block(self, count: int) -> List[Any]:
         if self.degrade_reason is not None:
             return Tape._block(self, count)
-        if not count:
-            return []
-        items = self._view(count).tolist()
-        if self._int_mask is None:
-            return items
-        mask = self._int_mask[self._head:self._head + count]
-        return [int(v) if m else v for v, m in zip(items, mask.tolist())]
+        return self._view(count).tolist() if count else []
 
     def peek_block_array(self, count: int) -> Optional[Any]:
         """Zero-copy read-only view of the next ``count`` committed items
-        — ``(count, W)`` on a vector tape — or ``None`` when no pure
-        int64/float64 view exists (degraded, mixed int/float content, or
-        no kind adopted yet)."""
+        — ``(count, W)`` on a vector tape — or ``None`` on list storage
+        (degraded) or while no kind is adopted yet."""
         self._check_block(count)
-        if self.degrade_reason is not None or \
-                self._kind not in ("int", "float", "vector"):
+        if self.degrade_reason is not None or self._kind is None:
             return None
         view = self._view(count)
         view.flags.writeable = False

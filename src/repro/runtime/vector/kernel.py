@@ -5,15 +5,16 @@ walking the exact same IR the tree-walking interpreter executes — and, when
 the body's shape allows, emits a :class:`BatchKernel` that executes ``n``
 consecutive firings as a handful of numpy array operations:
 
-* every tape read becomes a strided **slab** view over one
-  ``peek_block`` window (``window[pos::A_in]`` is the column of values the
-  ``k``-th firing would read at relative position ``pos``); on a vector
-  tape the window is its ``(items, SW)`` float64 rows and a ``vpop``
-  reads one column per lane, ``window[pos::A_in, lane]``;
+* every tape read becomes a strided **slab** view over the input tape's
+  one ndarray window — int64 or float64 (``window[pos::A_in]`` is the
+  column of values the ``k``-th firing would read at relative position
+  ``pos``); on a vector tape the window is its ``(items, SW)`` float64
+  rows and a ``vpop`` reads one column per lane,
+  ``window[pos::A_in, lane]``;
 * every arithmetic op becomes one elementwise array op over such columns;
-* every tape write becomes one strided slice-assignment
-  (:meth:`~repro.runtime.tape.Tape.write_strided`) — of an ``(n, SW)``
-  stack of lane columns for a ``vpush``;
+* every tape write becomes one strided slice-assignment of an int64 or
+  float64 column (:meth:`~repro.runtime.tape.Tape.write_strided`) — of an
+  ``(n, SW)`` stack of lane columns for a ``vpush``;
 * performance events are charged statically (``count × n``), exactly the
   totals the interpreter would have accumulated over ``n`` firings.
 
@@ -94,13 +95,14 @@ holds no closures and no per-run state, so one kernel may be kept by the
 backend and shared by every actor with the same build key, on any core.
 
 Even a successfully built kernel re-validates per batch (state types may
-have drifted, windows may mix int/float, bounds may have grown):
-``BatchKernel.run`` returns ``False`` — and has changed **nothing** — when
-any guard fails, and the caller replays the batch firing-by-firing through
-the compiled path.  Runtime surprises inside array evaluation raise
-:class:`_Abort` internally and roll back the same way (nothing is
-committed to tapes, state, or counters until every array has been
-computed).
+have drifted, the input may have no window — list storage, or a degraded
+tape — or a window of the other kind, bounds may have grown, an output
+column may have no array form): ``BatchKernel.run`` returns ``False`` —
+and has changed **nothing** — when any guard fails, and the caller replays
+the batch firing-by-firing through the compiled path.  Runtime surprises
+inside array evaluation raise :class:`_Abort` internally and roll back the
+same way (nothing is committed to tapes, state, or counters until every
+array has been computed).
 
 Four deliberately injectable defects, ``_MUT_READ_SHIFT`` (off-by-one
 tail: shifts every slab read), ``_MUT_SWAP_SUB`` (wrong operand order on
@@ -581,60 +583,29 @@ class BatchKernel:
         int_mode = False
         m_window = 0.0
         arr = None
-        nd_view = None
-        window = None
         if need:
-            # None: short window, window larger than a channel's bound, or
-            # an unknown tape subclass.  A channel window blocks instead
-            # until the producing core has committed it (it does so within
-            # this steady iteration) — the analogue of n blocking pops.
+            # None: list storage (a plain or degraded tape), a short window, a
+            # window larger than a channel's bound, or an unknown tape
+            # subclass.  A channel window blocks instead until the producing
+            # core has committed it (it does so within this steady
+            # iteration) — the analogue of n blocking pops.
             window = inp.window(need)
             if window is None:
                 return False
-            if not isinstance(window, list):
-                # The window already lives in machine layout.
-                nd_view = window
-            elif self.in_vector:
-                # Vector items reach a list window only from a degraded
-                # tape: replay per firing.
-                return False
-        if nd_view is not None:
             if self.in_vector:
-                if nd_view.ndim != 2 or nd_view.shape[1] != self.width \
-                        or nd_view.dtype.kind != "f":
+                if window.ndim != 2 or window.shape[1] != self.width \
+                        or window.dtype.kind != "f":
                     return False
-            elif nd_view.ndim != 1:
+            elif window.ndim != 1:
                 return False
-            int_mode = nd_view.dtype.kind == "i"
-            absd = np.abs(nd_view.astype(np.float64)) if int_mode \
-                else np.abs(nd_view)
-            m_window = float(absd.max()) if need else 0.0
+            int_mode = window.dtype.kind == "i"
+            if self.window_mode is not None \
+                    and int_mode != (self.window_mode == "int"):
+                return False
+            arr = window.astype(np.float64) if int_mode else window
+            m_window = float(np.abs(arr).max())
             if m_window != m_window:    # window held a NaN
                 m_window = _INF
-        elif need:
-            kinds = set(map(type, window))
-            if kinds == {float}:
-                pass
-            elif kinds == {int}:
-                int_mode = True
-            else:
-                return False
-            try:
-                for x in window:
-                    a = abs(x)
-                    if int_mode:
-                        a = float(a)
-                    if a > m_window:
-                        m_window = a
-                    elif a != a:
-                        m_window = _INF
-            except OverflowError:
-                return False
-        else:
-            window = []
-        if need and self.window_mode is not None \
-                and int_mode != (self.window_mode == "int"):
-            return False
 
         # -- state prefetch + affine guards ------------------------------------
         svals: List[Any] = []
@@ -736,14 +707,6 @@ class BatchKernel:
                 return False
 
         # -- array evaluation --------------------------------------------------
-        if nd_view is not None:
-            # The window already lives in machine layout: no asarray pass.
-            arr = nd_view.astype(np.float64) if int_mode else nd_view
-        elif need:
-            try:
-                arr = np.asarray(window, dtype=np.float64)
-            except (ValueError, OverflowError, TypeError):
-                return False
         a_in = self.a_in
         shift = _MUT_READ_SHIFT
         aff_delta = {av.name: av.c for av in self.aff_vars}
@@ -826,37 +789,25 @@ class BatchKernel:
             return False
 
         # -- commit ------------------------------------------------------------
+        # Every record's column is built before anything is consumed: one
+        # with no array form hands the whole batch back to the replay.
+        cols = [self._materialize_array(src, regs, svals, bvals, int_mode, n)
+                for _, src in self.records]
+        if any(col is None for col in cols):
+            return False
         release = n * a_in
         if release and inp.window_is_copy:
             # Release the input slots before the (possibly blocking) output
             # commit so downstream cores can drain while we wait for space
             # — no transitive wedge.
             inp.advance_reader(release)
-        if self.records:
-            # Array columns when every record has a lossless one (the tape
-            # stages them without conversion if it holds machine layout),
-            # else exact Python values for the whole record set so
-            # per-record ordering on the tape stays uniform.
-            cols: Optional[List[Any]] = None
-            if self.a_out:
-                cols = [self._materialize_array(src, regs, svals, bvals,
-                                                int_mode, n)
-                        for _, src in self.records]
-                if any(c is None for c in cols):
-                    cols = None
-            if cols is None:
-                cols = [self._materialize(src, regs, svals, bvals,
-                                          int_mode, n)
-                        for _, src in self.records]
-            if self.a_out:
-                for (offset, _), col in zip(self.records, cols):
-                    out.write_strided(offset, self.a_out, col)
-                out.advance_writer(n * self.a_out)
-            else:
-                for (offset, _), col in zip(self.records, cols):
-                    out.rpush(col[-1], offset)
-        elif self.a_out:
+        if self.a_out:
+            for (offset, _), col in zip(self.records, cols):
+                out.write_strided(offset, self.a_out, col)
             out.advance_writer(n * self.a_out)
+        else:
+            for (offset, _), col in zip(self.records, cols):
+                out.rpush(col[-1].tolist(), offset)
         if release and not inp.window_is_copy:
             # A window that may alias storage is released last: in-place
             # compaction must not move it while `arr` views are still live.
@@ -1027,33 +978,19 @@ class BatchKernel:
         return svals[operand[1]]
 
     # -- output materialization ------------------------------------------------
-    def _materialize(self, src: Tuple[Any, ...], regs: List[Any],
-                     svals: List[Any], bvals: List[float],
-                     int_mode: bool, n: int) -> List[Any]:
-        kind = src[0]
-        if kind == "c":
-            return [src[1]] * n
-        if kind == "s":
-            return [svals[src[1]]] * n
-        if kind == "r":
-            return self._reg_to_list(src[1], regs, bvals, int_mode, n)
-        # ('vec', lane_srcs): one list-valued column per firing.
-        lanes = [self._materialize(s, regs, svals, bvals, int_mode, n)
-                 for s in src[1]]
-        return [list(row) for row in zip(*lanes)]
-
     def _materialize_array(self, src: Tuple[Any, ...], regs: List[Any],
                            svals: List[Any], bvals: List[float],
                            int_mode: bool, n: int) -> Optional[Any]:
-        """ndarray analogue of _materialize: a 1-d int64/float64 column
-        for a scalar record, an ``(n, W)`` float64 one for a ``('vec',
-        lanes)`` record whose lanes are all float registers, float
-        constants or float state reads — the rows a vector tape stores.
+        """The column one output record commits: a 1-d int64/float64
+        column for a scalar record, an ``(n, W)`` float64 one for a
+        ``('vec', lanes)`` record whose lanes are all float registers,
+        float constants or float state reads — the rows a vector tape
+        stores.
 
-        Returns None whenever the column cannot be represented losslessly
-        that way (bools, huge ints, a vector with a non-float lane) — the
-        caller then falls back to the list path for the whole record set
-        so per-record ordering on the tape stays uniform.
+        Returns None when the column has no lossless array form (bools,
+        ints beyond int64 or the float64-exact range, a vector with a
+        non-float lane): the caller then commits nothing and the whole
+        batch replays per firing, which pushes the exact Python values.
         """
         kind = src[0]
         if kind == "vec":
@@ -1103,29 +1040,6 @@ class BatchKernel:
                 return None
             return col
         return None
-
-    def _reg_to_list(self, idx: int, regs: List[Any], bvals: List[float],
-                     int_mode: bool, n: int) -> List[Any]:
-        tag = self.rtags[idx]
-        col = regs[idx]
-        if tag == "i64":
-            return _py_values(col, tag, int_mode, n)
-        as_int = tag == "int" or (tag == "slab" and int_mode)
-        if not (isinstance(col, np.ndarray) and col.ndim == 1):
-            # Batch-constant register (every operand was a constant or a
-            # batch-constant state read): one value, replicated.
-            if tag == "bool":
-                v: Any = bool(col)
-            elif as_int:
-                v = int(col)
-            else:
-                v = float(col)
-            return [v] * n
-        if as_int:
-            if bvals[idx] < _EXACT_LIMIT:
-                return col.astype(np.int64).tolist()
-            return [int(v) for v in col.tolist()]
-        return col.tolist()
 
 
 # ==============================================================================

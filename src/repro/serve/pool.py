@@ -622,10 +622,6 @@ class ServePool:
         return ticket.result(timeout)
 
     # -- draining / shutdown ---------------------------------------------------
-    def in_flight(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
     def drain(self, timeout: Optional[float] = None) -> None:
         """Wait until every admitted session has completed.
 

@@ -145,9 +145,6 @@ class WorkerEnv:
         self.stats.graph_cache_misses += 1
         return entry, False
 
-    def graph_cache_size(self) -> int:
-        return len(self._graphs)
-
     # -- serving ---------------------------------------------------------------
     def run_session(self, spec: SessionSpec, *, seq: int = 0,
                     worker: int = -1) -> SessionResult:

@@ -221,6 +221,29 @@ def _mover_run(graph, mover, machine, backend, tape_cls, inputs):
     return run
 
 
+def _nd_kind(item):
+    """The kind of ``NdTape`` that holds ``item`` without degrading, or
+    ``None``: a vector is a row only when every lane is a float."""
+    if isinstance(item, list):
+        return "vector" if all(type(x) is float for x in item) else None
+    return type(item).__name__
+
+
+def _batches(backend, tape_cls, m, inputs):
+    """Whether the vector backend's batch closure takes the batched path:
+    ndarray windows only — the tapes are ``NdTape``, each non-empty input
+    holds one kind — and every packed lane is a float."""
+    if backend != "vector" or tape_cls is not NdTape:
+        return False
+    for items in inputs:
+        kinds = {_nd_kind(x) for x in items}
+        if len(kinds) > 1 or None in kinds:
+            return False
+        if m.out_width > 1 and kinds - {"float"}:
+            return False
+    return True
+
+
 def _observed(run, mover):
     return ({tid: [_typed(x) for x in tape.drain()]
              for tid, tape in run.tapes.items()},
@@ -258,7 +281,8 @@ class TestMoverMatrix:
         dut = _mover_run(graph, mover, machine, backend, tape_cls, inputs)
         assert (mover.id in dut.batch_fns) == (backend == "vector")
         _fire_n(ref, mover, n)
-        assert _fire_n(dut, mover, n) == (backend == "vector")
+        assert _fire_n(dut, mover, n) == _batches(backend, tape_cls, m,
+                                                  inputs)
         assert _observed(dut, mover) == _observed(ref, mover)
 
     @needs_numpy

@@ -1,8 +1,9 @@
 """dtype edges of the ndarray-native tape, unit-level and through the
 full vector-backend stack.
 
-Covers int→float promotion mid-stream, NaN/inf payloads, vector items
-kept as ``(items, W)`` float64 rows, and the payloads that still degrade
+Covers the one-kind rule (the first value fixes a tape's kind; the other
+scalar kind degrades it, nothing is promoted), NaN/inf payloads, vector
+items kept as ``(items, W)`` float64 rows, and the payloads that degrade
 the tape to list storage (a vector on a scalar tape, bools) with the
 reason surfaced through ``ExecutionResult.vectorized``.
 """
@@ -32,38 +33,47 @@ def canon(value):
     return (type(value).__name__, repr(value))
 
 
-# -- promotion mid-stream -----------------------------------------------------
+# -- one kind per tape: no promotion mid-stream -------------------------------
 
 class TestPromotion:
-    def test_int_then_float_promotes_and_preserves_types(self):
+    """Nothing is promoted: the first value fixes the tape's kind, and a
+    value of the other scalar kind degrades the tape to list storage with
+    exact values and Python types."""
+
+    def test_float_on_int_tape_degrades_exactly(self):
         t = NdTape("t")
         t.push(1)
         t.push(2)
         assert t.dtype_kind == "int"
         t.push(2.5)                       # float arrives mid-stream
-        assert t.dtype_kind == "mixed"
-        assert [t.pop() for _ in range(3)] == [1, 2, 2.5]
-        assert type(t.peek(0) if len(t) else 0) is int
-        assert t.dtype_kind is None       # drained -> dtype reset
+        assert t.dtype_kind == "list"
+        assert t.degrade_reason == "float on an int tape"
+        got = [t.pop() for _ in range(3)]
+        assert [(type(v), v) for v in got] == \
+            [(int, 1), (int, 2), (float, 2.5)]
+        assert t.dtype_kind == "list"     # sticky, even once drained
 
-    def test_float_then_int_gains_int_mask(self):
+    def test_int_on_float_tape_degrades_exactly(self):
         t = NdTape("t")
         t.push(0.5)
         assert t.dtype_kind == "float"
         t.push(7)
-        assert t.dtype_kind == "mixed"
+        assert t.dtype_kind == "list"
+        assert t.degrade_reason == "int on a float tape"
         a, b = t.pop(), t.pop()
         assert (type(a), a) == (float, 0.5)
         assert (type(b), b) == (int, 7)
 
-    def test_promotion_with_inexact_staged_int_degrades(self):
+    def test_float_after_inexact_int_keeps_exact_values(self):
         t = NdTape("t")
         t.push(2 ** 60)                   # exact in int64, not in float64
         assert t.dtype_kind == "int"
         t.push(0.5)
         assert t.dtype_kind == "list"
-        assert t.degrade_reason == "int beyond float64-exact range"
-        assert t.drain() == [2 ** 60, 0.5]  # exact values preserved
+        assert t.degrade_reason == "float on an int tape"
+        got = t.drain()
+        assert got == [2 ** 60, 0.5]      # exact values preserved
+        assert [type(v) for v in got] == [int, float]
 
     def test_int64_overflow_degrades(self):
         t = NdTape("t")

@@ -5,7 +5,8 @@ Every composition must be *observably identical* to the bare list tape —
 same values (and Python types), same lengths, same error types and
 messages — across the full repertoire, including rpush gaps, strided
 writes, drain, dtype transitions, vector items kept as float64 rows,
-degradation to list storage, and compaction boundaries.  Seeded random op
+degradation to list storage (a second scalar kind, a vector intrusion),
+and compaction boundaries.  Seeded random op
 sequences are replayed against all four and every single outcome is
 compared.
 
@@ -102,9 +103,11 @@ def as_seen_through_channel(op, outcome, occupancy):
 
 # -- random op sequences ------------------------------------------------------
 
-_VALUES = [0, 1, -3, 7, 12345, 2 ** 40, 2 ** 60, 2 ** 64,
-           0.0, 2.5, -0.5, 1e300, -1e-9, float("nan"), float("inf"),
-           [1.0, 2.0], [3, 4.5]]
+#: One scalar kind each: a tape fed only these never degrades.
+_INTS = [0, 1, -3, 7, 12345, 2 ** 40, 2 ** 60]
+_FLOATS = [0.0, 2.5, -0.5, 1e300, -1e-9, float("nan"), float("inf")]
+#: Both kinds and the intrusions: sequences over these degrade early.
+_VALUES = _INTS + [2 ** 64] + _FLOATS + [[1.0, 2.0], [3, 4.5]]
 
 
 #: Single-width (W = 2) float vectors — NaN, ±inf and −0.0 included …
@@ -191,6 +194,23 @@ def test_random_op_sequences_match_with_tiny_compaction(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(20))
+def test_random_single_kind_sequences_stay_on_arrays(seed, monkeypatch):
+    """One scalar kind per sequence — ints for even seeds, floats for odd
+    ones — so the nd storage keeps its array for the whole sequence (the
+    mixed sequences above degrade early).  Every fourth seed crosses the
+    compaction boundary constantly."""
+    if seed % 4 == 3:
+        monkeypatch.setattr(tape_mod, "_COMPACT_THRESHOLD", 8)
+    values = _INTS if seed % 2 == 0 else _FLOATS
+    rng = random.Random(seed)
+    tapes = replay_differential([random_op(rng, values)
+                                 for _ in range(250)])
+    if "nd" in tapes:
+        assert tapes["nd"].degrade_reason is None
+        assert tapes["nd+channel"].degrade_reason is None
+
+
+@pytest.mark.parametrize("seed", range(20))
 def test_random_vector_sequences_match(seed, monkeypatch):
     """Vector items on all four compositions: even seeds stay on rows
     for the whole sequence, odd seeds mix in intrusions, which degrade
@@ -259,10 +279,17 @@ def test_negative_argument_messages_match_exactly():
 
 @needs_numpy
 def test_int_stays_int_float_stays_float():
+    """A float after ints degrades the nd storage (no promotion), so every
+    pop hands back its exact Python type — through the channel too."""
     tapes = replay_differential([
         ("push", 1), ("push", 2.0), ("push", 3),
         ("pop",), ("pop",), ("pop",)])
-    # fully drained -> dtype reset, visible through the channel too
+    for kind in ("nd", "nd+channel"):
+        assert tapes[kind].degrade_reason == "float on an int tape"
+        assert tapes[kind].dtype_kind == "list"   # sticky once drained
+    # One kind throughout: fully drained -> dtype reset.
+    tapes = replay_differential([("push", 1), ("push", 3),
+                                 ("pop",), ("pop",)])
     assert tapes["nd"].dtype_kind is None
     assert tapes["nd+channel"].dtype_kind is None
 
@@ -348,8 +375,8 @@ def test_peek_block_array_underflow_and_none_cases():
         nd.peek_block_array(1)
     assert nd.peek_block_array(0) is None  # no dtype adopted yet
     nd.push(1)
-    nd.push(2.5)                           # promotes to mixed
-    assert nd.peek_block_array(2) is None  # mixed: no pure view
+    nd.push(2.5)                           # float on an int tape: degrades
+    assert nd.peek_block_array(2) is None  # list storage: no view
     assert nd.peek_block(2) == [1, 2.5]
 
 
@@ -376,8 +403,40 @@ def test_write_strided_array_huge_int_degrades_exactly():
     nd.push(0.5)                            # float storage
     nd.write_strided(0, 1, np.array([2 ** 60], dtype=np.int64))
     nd.advance_writer(1)
-    assert nd.degrade_reason == "int beyond float64-exact range"
-    assert nd.drain() == [0.5, 2 ** 60]     # exact value preserved
+    assert nd.degrade_reason == "int on a float tape"
+    got = nd.drain()
+    assert got == [0.5, 2 ** 60]            # exact value preserved
+    assert [type(v) for v in got] == [float, int]
+
+
+@needs_numpy
+@pytest.mark.parametrize("first, other, reason", [
+    (1, 2.5, "float on an int tape"),
+    (0.5, 7, "int on a float tape"),
+], ids=["float-on-int", "int-on-float"])
+def test_other_scalar_kind_degrades_exactly(first, other, reason):
+    """The first value fixes a scalar tape's kind; the other kind reaches
+    it by push, by an rpush into a hole, inside a list column and as an
+    ndarray column, and each degrades with the same reason while the
+    staged hole and the values before it survive."""
+    import numpy as np
+    for stage in ([("push", other)],
+                  [("rpush", other, 0), ("advance_writer", 2)],
+                  [("write_strided", 0, 1, (other, first)),
+                   ("advance_writer", 2)]):
+        ops = [("push", first), ("rpush", first, 1), *stage,
+               ("peek_block", 3), ("pop",), ("drain",)]
+        tapes = replay_differential(ops)
+        assert tapes["nd"].degrade_reason == reason, stage
+        assert tapes["nd+channel"].degrade_reason == reason, stage
+    nd, plain = NdTape("t"), Tape("t")
+    for tape, column in ((nd, np.array([other])), (plain, [other])):
+        tape.push(first)
+        tape.rpush(first, 1)
+        tape.write_strided(0, 1, column)
+        tape.advance_writer(2)
+    assert nd.degrade_reason == reason
+    assert canon(nd.drain()) == canon(plain.drain())
 
 
 @needs_numpy
@@ -502,9 +561,10 @@ def test_channel_over_nd_storage_hands_out_array_copies(blocks):
         assert storage._arr is None or \
             not np.shares_memory(window, storage._arr)
         assert canon(window.tolist()) == canon(block)
+    # List storage has no window: its batches run per firing.
     lists, reference = _stream_blocks("list+channel", blocks,
                                       as_arrays=False)
-    assert [canon(w) for w in lists] == [canon(b) for b in blocks]
+    assert lists == [None] * len(blocks)
     # Stalls and the high-water mark depend on thread timing; what moved
     # does not.
     for field in ("pushes", "pops", "capacity"):
@@ -515,7 +575,8 @@ def test_channel_over_nd_storage_hands_out_array_copies(blocks):
 
 def test_channel_window_refuses_what_can_never_be_resident():
     """window > capacity must report "run per firing" at once — waiting
-    could only ever end in a stall timeout."""
+    could only ever end in a stall timeout.  A resident window is an
+    array over nd storage and ``None`` (per firing) over list storage."""
     for kind in DUTS:
         if "+" not in kind:
             continue
@@ -524,4 +585,8 @@ def test_channel_window_refuses_what_can_never_be_resident():
             channel.push(float(i))
         assert channel.window(5) is None
         assert channel.stats.pop_stalls == 0
-        assert list(channel.window(4)) == [0.0, 1.0, 2.0, 3.0]
+        window = channel.window(4)
+        if kind.startswith("nd"):
+            assert window.tolist() == [0.0, 1.0, 2.0, 3.0]
+        else:
+            assert window is None

@@ -26,17 +26,18 @@ from repro.perf.counters import PerActorCounters
 from repro.runtime import execute
 from repro.runtime.errors import StreamRuntimeError
 from repro.runtime.interpreter import ActorRuntime
-from repro.runtime.tape import NdTape, Tape
+from repro.runtime.tape import NdTape
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.vector.kernel import Unvectorizable, _Builder, \
     _NeedScan, build_batch_kernel
 from repro.simd.machine import CORE_I7
 
 
-def _runtime(spec, data=(), width=4, tape_cls=Tape):
+def _runtime(spec, data=(), width=4):
+    """An actor runtime over ``NdTape``s, as the vector backend builds."""
     from repro.runtime.executor import state_initial_value
     counters = PerActorCounters()
-    inp, out = tape_cls("in"), tape_cls("out")
+    inp, out = NdTape("in"), NdTape("out")
     for item in data:
         inp.push(item)
     return ActorRuntime(
@@ -104,7 +105,7 @@ class TestBuildDecisions:
         # batch, as a float and as an int64 output column.
         for spec, kind in ((lcg_source("src", push=4), "float"),
                            (make_int_source("isrc", pairs=2), "int")):
-            rt = _runtime(spec, tape_cls=NdTape)
+            rt = _runtime(spec)
             kernel = build_batch_kernel(rt, spec, False)
             assert kernel.a_in == 0 and kernel.a_out == spec.push == 4
             assert all(av.m == 2 ** 31 for av in kernel.aff_vars)

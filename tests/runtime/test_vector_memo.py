@@ -26,7 +26,7 @@ from repro.multicore import parallel_execute
 from repro.perf.counters import PerActorCounters
 from repro.runtime import execute
 from repro.runtime.interpreter import ActorRuntime, Interpreter
-from repro.runtime.tape import Tape
+from repro.runtime.tape import NdTape
 from repro.runtime.vector import VectorBackend
 
 
@@ -47,7 +47,7 @@ def builds(monkeypatch):
 def _runtime(spec, data=(), *, state=None, width=4, has_input=True,
              has_output=True, in_ordered=False, out_ordered=False,
              sagu=False):
-    inp, out = Tape("in"), Tape("out")
+    inp, out = NdTape("in"), NdTape("out")
     for item in data:
         inp.push(item)
     if state is None:

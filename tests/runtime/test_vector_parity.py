@@ -90,6 +90,27 @@ class TestDeterminism:
         assert first.vectorized == second.vectorized
 
 
+@pytest.mark.parametrize("name", ALL_BENCHMARKS)
+class TestNoFallback:
+    """Every registry app at ``full`` on core-i7-sse4 batches every actor
+    on tapes that keep one kind: a vector run shows no ``fallback:``
+    status and no ``(tape fallback`` suffix.  A change that starts
+    mixing kinds on a real tape (an int on a float tape, say) trips it
+    even when the per-firing replay keeps the outputs exact."""
+
+    @pytest.mark.parametrize("iterations", [2, 64])
+    def test_full_graph_batches_without_fallback(self, name, iterations):
+        graph = compile_graph(flatten(get_benchmark(name)), CORE_I7).graph
+        result = execute(graph, machine=CORE_I7, iterations=iterations,
+                         backend="vector")
+        fallbacks = {graph.actors[a].name: status
+                     for a, status in result.vectorized.items()
+                     if status.startswith("fallback:")
+                     or "(tape fallback" in status}
+        assert not fallbacks, fallbacks
+        assert result.batched_firings > 0
+
+
 class TestNonVacuous:
     """The matrix above only means something if kernels actually engage."""
 

@@ -19,20 +19,15 @@ from hypothesis import strategies as st
 import repro.runtime.vector.kernel as vector_kernel
 from repro.fuzz.descriptions import make_lcg_source
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.tape import NdTape
 from repro.runtime.vector import VectorBackend
 from repro.runtime.vector.kernel import (_SCAN_CHUNK, _SharedArrays,
                                          build_batch_kernel)
 
-from .test_vector_fallback import _runtime as _list_runtime
+from .test_vector_fallback import _runtime
 
 
 def _lcg_spec(a, c, m, seed, push, dtype="int"):
     return make_lcg_source(push, dtype, (a, c, m, seed))
-
-
-def _runtime(spec):
-    return _list_runtime(spec, tape_cls=NdTape)
 
 
 def _reference(a, c, m, s, items):

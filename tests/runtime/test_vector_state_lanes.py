@@ -30,7 +30,7 @@ from repro.graph.actor import FilterSpec, StateVar
 from repro.ir import FLOAT, INT, ArrayHandle, WorkBuilder, call, vector_of
 from repro.perf.counters import PerActorCounters
 from repro.runtime.interpreter import ActorRuntime, Interpreter
-from repro.runtime.tape import NdTape, Tape
+from repro.runtime.tape import NdTape
 from repro.runtime.vector import VectorBackend
 from repro.runtime.vector.kernel import Unvectorizable, build_batch_kernel
 
@@ -39,8 +39,9 @@ N = 4
 SIZES = (1, N - 1, N, N + 1, 3 * N + 2)
 
 
-def _runtime(state, data, storage=Tape):
-    inp, out = storage("in"), Tape("out")
+def _runtime(state, data):
+    """An actor runtime over ``NdTape``s, as the vector backend builds."""
+    inp, out = NdTape("in"), NdTape("out")
     for item in data:
         inp.push(copy.deepcopy(item))
     return ActorRuntime(
@@ -59,9 +60,8 @@ def _interp(spec, state, data, n):
 def _assert_exact(spec, state, data, n, in_vector=False):
     """One ``n``-firing batch equals ``n`` interpreter firings: outputs
     (types and signs included), counter bags, state and input left.
-    Vector items reach a kernel as the float64 rows of an ``NdTape``, as
-    on the vector backend (a list of them would be a degraded tape)."""
-    rt = _runtime(state, data, NdTape if in_vector else Tape)
+    Vector items reach a kernel as the float64 rows of an ``NdTape``."""
+    rt = _runtime(state, data)
     kernel = build_batch_kernel(rt, spec, in_vector)
     assert kernel.run(rt, n) is True
     ref = _interp(spec, state, data, n)
