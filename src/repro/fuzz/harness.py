@@ -42,7 +42,7 @@ from ..graph.flatten import flatten
 from ..graph.stream_graph import StreamGraph
 from ..graph.validate import collect_problems
 from ..obs import Tracer, pass_trail
-from ..perf.counters import PerActorCounters
+from ..perf.counters import counter_bags
 from ..runtime.backends import resolve_backend
 from ..runtime.executor import ExecutionResult, _GraphRun, _make_tapes, \
     execute
@@ -110,15 +110,6 @@ class Divergence:
         # Single-line on purpose: callers embed this in log lines.  The
         # pass trail is printed separately by the CLI / corpus tooling.
         return f"[{self.kind}] {self.config}: {self.detail}"
-
-
-def _counter_bags(per_actor: PerActorCounters) -> Dict[int, Dict[str, int]]:
-    return {
-        actor_id: {event: count
-                   for event, count in counters.events.items() if count}
-        for actor_id, counters in per_actor.by_actor.items()
-        if any(counters.events.values())
-    }
 
 
 def _run_checked(graph: StreamGraph, schedule: Schedule,
@@ -328,14 +319,14 @@ def check_graph(graph: StreamGraph,
                                "init outputs differ from interpreter",
                                trail):
                         return report
-                if _counter_bags(got.steady_counters) != \
-                        _counter_bags(ref.steady_counters):
+                if counter_bags(got.steady_counters) != \
+                        counter_bags(ref.steady_counters):
                     if diverge("backend", backend_config,
                                "per-actor steady counter bags differ",
                                trail):
                         return report
-                if _counter_bags(got.init_counters) != \
-                        _counter_bags(ref.init_counters):
+                if counter_bags(got.init_counters) != \
+                        counter_bags(ref.init_counters):
                     if diverge("backend", backend_config,
                                "per-actor init counter bags differ", trail):
                         return report
@@ -431,8 +422,8 @@ def check_parallel(graph: StreamGraph,
                                kind="crash"):
                         return report
                     continue
-                seq_steady = _counter_bags(seq.steady_counters)
-                seq_init = _counter_bags(seq.init_counters)
+                seq_steady = counter_bags(seq.steady_counters)
+                seq_init = counter_bags(seq.init_counters)
                 for n in cores:
                     # One core: every partitioner degenerates to the same
                     # single-core assignment — checking one is enough.
@@ -459,12 +450,12 @@ def check_parallel(graph: StreamGraph,
                             if diverge(pconfig, "init outputs differ from "
                                                 "sequential execute"):
                                 return report
-                        if _counter_bags(par.steady_counters) != seq_steady:
+                        if counter_bags(par.steady_counters) != seq_steady:
                             if diverge(pconfig,
                                        "per-actor steady counter bags "
                                        "differ from sequential"):
                                 return report
-                        if _counter_bags(par.init_counters) != seq_init:
+                        if counter_bags(par.init_counters) != seq_init:
                             if diverge(pconfig,
                                        "per-actor init counter bags "
                                        "differ from sequential"):

@@ -26,12 +26,13 @@ import pickle
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..graph.flatten import flatten
+from ..perf.counters import counter_bags
 from ..runtime.executor import execute
 from ..schedule.steady_state import build_schedule
 from ..simd.machine import CORE_I7
 from ..simd.pipeline import compile_graph
 from .descriptions import ProgramDesc, desc_to_dict, materialize
-from .harness import CheckReport, Divergence, _counter_bags
+from .harness import CheckReport, Divergence
 
 __all__ = ["SERVE_PIPELINES", "SERVE_TRANSPORTS", "check_serve_program"]
 
@@ -168,11 +169,11 @@ def check_serve_program(desc: ProgramDesc, *,
                 if diverge(config, "served init outputs differ from "
                                    "direct execute"):
                     return report
-            if served.steady_bags != _counter_bags(ref.steady_counters):
+            if served.steady_bags != counter_bags(ref.steady_counters):
                 if diverge(config, "served steady counter bags differ "
                                    "from direct execute"):
                     return report
-            if served.init_bags != _counter_bags(ref.init_counters):
+            if served.init_bags != counter_bags(ref.init_counters):
                 if diverge(config, "served init counter bags differ "
                                    "from direct execute"):
                     return report

@@ -7,16 +7,24 @@ bindings.  We canonicalise each body by replacing every numeric constant and
 canonical forms are equal.  The sequence of abstracted constants (one per
 actor) is exactly the data horizontal SIMDization packs into
 :class:`~repro.ir.expr.VectorConst` vectors.
+
+That equivalence is a compile-time decision only.  A runtime memo keyed
+by a body (the closure kernels, the batch kernels) keys it by the body
+itself, and serves an entry built from an equal but different body
+object only under :func:`same_constants`: IR ``==`` ignores a
+constant's type and a float's sign, which the interpreter does not.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Any, Tuple
 
 from . import expr as E
 from . import stmt as S
-from .visitors import rewrite_body_exprs, rewrite_body_stmts
+from .visitors import (iter_all_exprs, iter_stmts, rewrite_body_exprs,
+                       rewrite_body_stmts)
 
 #: Marker name used for abstracted constant slots.
 _SLOT = "__const_slot__"
@@ -73,3 +81,36 @@ def canonicalize(body: S.Body) -> CanonicalForm:
 def isomorphic(body_a: S.Body, body_b: S.Body) -> bool:
     """True when the two bodies are identical up to constant literals."""
     return canonicalize(body_a).body == canonicalize(body_b).body
+
+
+def _exact(value: Any) -> Any:
+    """A constant's type, plus its sign if it is a float (``-0.0``)."""
+    if type(value) is tuple:
+        return tuple(map(_exact, value))
+    if type(value) is float:
+        return (float, math.copysign(1.0, value))
+    return type(value)
+
+
+_CONSTS = (E.IntConst, E.FloatConst, E.BoolConst, E.VectorConst)
+
+
+def exact_consts(body: S.Body) -> Tuple[Any, ...]:
+    """Every constant's type and float sign in ``body``, in walk order.
+
+    IR ``==`` holds ``FloatConst(0.0)`` equal to ``FloatConst(-0.0)`` and
+    ``VectorConst((1, 2))`` to ``VectorConst((1.0, 2.0))``; this tells
+    them apart."""
+    out = [_exact(e.values if isinstance(e, E.VectorConst) else e.value)
+           for e in iter_all_exprs(body) if isinstance(e, _CONSTS)]
+    out.extend(_exact(stmt.init) for stmt in iter_stmts(body)
+               if isinstance(stmt, S.DeclArray) and stmt.init is not None)
+    return tuple(out)
+
+
+def same_constants(built_from: S.Body, body: S.Body) -> bool:
+    """Whether a memo entry built from ``built_from`` may serve the equal
+    body ``body``: the same object, or every constant's type and sign
+    match (see :func:`exact_consts`)."""
+    return built_from is body or \
+        exact_consts(built_from) == exact_consts(body)

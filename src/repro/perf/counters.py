@@ -80,3 +80,14 @@ class PerActorCounters:
     def cycles_by_actor(self, machine: "MachineDescription") -> Dict[int, float]:
         return {aid: counters.cycles(machine)
                 for aid, counters in self.by_actor.items()}
+
+
+def counter_bags(per_actor: PerActorCounters) -> Dict[int, Dict[str, int]]:
+    """Normalize counters to comparable bags (drop zero counts and
+    actors that charged nothing)."""
+    return {
+        actor_id: {event: count
+                   for event, count in counters.events.items() if count}
+        for actor_id, counters in per_actor.by_actor.items()
+        if any(counters.events.values())
+    }

@@ -13,6 +13,13 @@ backend provides two hooks:
     Optionally return a zero-argument firing closure for a native mover
     (splitter/joiner); ``None`` falls back to the executor's generic path.
 
+A batching backend adds two more, each handed the per-firing closure
+``fire`` it falls back to: ``make_batch_filter(runtime, spec, in_edge,
+fire)`` (called once the filter's init body has run) returns ``(batch or
+None, vector status)``, and ``make_batch_mover(run, actor, fire)``
+returns a batch or ``None``.  A batch ``fn(n)`` is equivalent to ``n``
+firings and returns whether the batched path actually ran.
+
 Three backends exist: ``"interp"`` (the tree-walking
 :class:`~repro.runtime.interpreter.Interpreter`; the reference semantics),
 ``"compiled"`` (:class:`~repro.runtime.compiled.CompiledBackend`; IR

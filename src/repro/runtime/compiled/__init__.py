@@ -12,11 +12,12 @@ closures, specialised on
 Two further tricks make the compiled engine fast while keeping the modeled
 cycle counts **bit-identical** to the interpreter:
 
-* **kernel caching** — kernels are keyed by the constant-abstracted
-  canonical form of the body (the same canonicalisation
-  :mod:`repro.ir.structhash` uses for horizontal-fusion isomorphism), so
-  structurally identical actors that differ only in constants share one
-  compiled kernel; per-instance constants are bound at instantiation.
+* **kernel caching** — kernels are keyed by the body itself (crossed
+  with the specialisation), every constant baked into the closures, so
+  actors with equal bodies — the same factory called with the same
+  arguments, or one graph re-executed — share one compiled kernel.
+  :func:`repro.ir.structhash.same_constants` decides when an equal but
+  different body object may reuse an entry.
 * **static event aggregation** — the :class:`~repro.perf.counters.PerfCounters`
   delta of every straight-line block is pre-computed at compile time and
   charged in one batched update per execution of the block, instead of one
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from .backend import CompiledActor, CompiledBackend
 from .cache import CacheStats, KernelCache
-from .canon import TypedCanonical, typed_canonicalize
 from .compiler import Kernel, Specialization, compile_kernel
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "CompiledBackend",
     "CacheStats",
     "KernelCache",
-    "TypedCanonical",
-    "typed_canonicalize",
     "Kernel",
     "Specialization",
     "compile_kernel",

@@ -2,8 +2,8 @@
 
 ``CompiledBackend`` is the object :func:`repro.runtime.executor.execute`
 talks to when run with ``backend="compiled"``.  For every filter it
-canonicalises the actor's bodies, fetches (or compiles) the shared kernels
-from the :class:`~.cache.KernelCache`, and wraps them in a
+fetches (or compiles) the init and work kernels of the actor's bodies
+from the :class:`~.cache.KernelCache` and wraps them in a
 :class:`CompiledActor` that is API-compatible with
 :class:`repro.runtime.interpreter.Interpreter` (``.rt``, ``run_init``,
 ``run_work``).  Splitters and joiners get the per-firing closures derived
@@ -12,17 +12,13 @@ in :mod:`repro.runtime.movers`.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from ...graph.actor import FilterSpec
 from ...graph.stream_graph import TapeEdge
-from ...ir import stmt as S
-from ..errors import InterpreterError
 from ..interpreter import ActorRuntime
 from ..movers import make_mover
 from .cache import KernelCache
-from .canon import (TypedCanonical, exact_consts, is_param_slot,
-                    typed_canonicalize)
 from .compiler import Frame, Kernel, Specialization
 from .shapes import shape_of_state
 
@@ -32,31 +28,25 @@ __all__ = ["CompiledActor", "CompiledBackend"]
 class CompiledActor:
     """Drop-in replacement for ``Interpreter`` backed by compiled kernels.
 
-    The frame is refreshed at the top of every firing: locals cleared, the
-    constant tuple switched to the body being run, and the event bag / tape
-    endpoints re-read from the runtime so executor re-pointing (collector
-    tape, steady-phase counter swap) takes effect exactly as it does for
-    the interpreter.
+    The frame is refreshed at the top of every firing: locals cleared and
+    the event bag / tape endpoints re-read from the runtime so executor
+    re-pointing (collector tape, steady-phase counter swap) takes effect
+    exactly as it does for the interpreter.
     """
 
-    __slots__ = ("rt", "_frame", "_init_kernel", "_init_consts",
-                 "_work_kernel", "_work_consts")
+    __slots__ = ("rt", "_frame", "_init_kernel", "_work_kernel")
 
-    def __init__(self, runtime: ActorRuntime,
-                 init_kernel: Kernel, init_consts: Tuple[Any, ...],
-                 work_kernel: Kernel, work_consts: Tuple[Any, ...]) -> None:
+    def __init__(self, runtime: ActorRuntime, init_kernel: Kernel,
+                 work_kernel: Kernel) -> None:
         self.rt = runtime
         self._frame = Frame(runtime)
         self._init_kernel = init_kernel
-        self._init_consts = init_consts
         self._work_kernel = work_kernel
-        self._work_consts = work_consts
 
-    def _refresh(self, consts: Tuple[Any, ...]) -> Frame:
+    def _refresh(self) -> Frame:
         frame = self._frame
         rt = self.rt
         frame.locals.clear()
-        frame.consts = consts
         frame.events = rt.counters.events
         frame.inp = rt.input
         frame.out = rt.output
@@ -66,10 +56,10 @@ class CompiledActor:
         """Run the compiled init kernel (``body`` is accepted for interface
         parity with the interpreter and ignored — the kernel was compiled
         from the same spec)."""
-        self._init_kernel.run(self._refresh(self._init_consts))
+        self._init_kernel.run(self._refresh())
 
     def run_work(self, body: Any = None) -> None:
-        self._work_kernel.run(self._refresh(self._work_consts))
+        self._work_kernel.run(self._refresh())
 
 
 class CompiledBackend:
@@ -77,33 +67,8 @@ class CompiledBackend:
 
     name = "compiled"
 
-    #: Actor wrapper class — subclasses (the vector backend) override this
-    #: to wrap the same compiled kernels in a batching actor.
-    _actor_class = CompiledActor
-
     def __init__(self, cache: Optional[KernelCache] = None) -> None:
         self.cache = cache if cache is not None else KernelCache()
-        # Canonicalisation memo (body -> (body built from, canonical
-        # form)): specs are immutable value objects and bodies hashable
-        # tuples, so re-executing the same graph (or the same spec
-        # instantiated many times) never re-walks the IR.
-        self._canon: dict[S.Body, Tuple[S.Body, TypedCanonical]] = {}
-
-    def _canonicalize(self, body: S.Body) -> TypedCanonical:
-        entry = self._canon.get(body)
-        # An entry built from another, equal body object serves only if
-        # every constant's type and sign match as well (see exact_consts).
-        if entry is None or (entry[0] is not body and
-                             exact_consts(entry[0]) != exact_consts(body)):
-            canon = typed_canonicalize(body)
-            for value in canon.consts:
-                if is_param_slot(value):
-                    raise InterpreterError(
-                        f"unbound parameter {value.name!r} reached the "
-                        f"compiled backend (bind_params first)")
-            entry = (body, canon)
-            self._canon[body] = entry
-        return entry[1]
 
     def make_filter_actor(self, runtime: ActorRuntime, spec: FilterSpec,
                           in_edge: Optional[TapeEdge],
@@ -117,22 +82,16 @@ class CompiledBackend:
             out_lane_ordered=runtime.out_lane_ordered,
             in_vector=bool(in_edge is not None and in_edge.is_vector),
         )
-
-        init_canon = self._canonicalize(spec.init_body)
         init_spec = Specialization(is_work=False, state_shapes=state_shapes,
                                    **common)
-        init_kernel = self.cache.get_or_compile(init_canon.body, init_spec)
-
+        init_kernel = self.cache.get_or_compile(spec.init_body, init_spec)
         # The work kernel's entry state shapes are whatever the init body
         # may have left behind (e.g. a scalar state seeded with a vector).
-        work_canon = self._canonicalize(spec.work_body)
         work_spec = Specialization(is_work=True,
                                    state_shapes=init_kernel.exit_state_shapes,
                                    **common)
-        work_kernel = self.cache.get_or_compile(work_canon.body, work_spec)
-
-        return self._actor_class(runtime, init_kernel, init_canon.consts,
-                                 work_kernel, work_canon.consts)
+        work_kernel = self.cache.get_or_compile(spec.work_body, work_spec)
+        return CompiledActor(runtime, init_kernel, work_kernel)
 
     def make_mover(self, run: Any, actor: Any):
         """Native splitter/joiner fast path (:mod:`repro.runtime.movers`)."""

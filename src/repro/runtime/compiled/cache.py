@@ -1,18 +1,17 @@
-"""Kernel cache: one compiled kernel per (canonical body, specialisation).
+"""Kernel cache: one compiled kernel per (body, specialisation).
 
-Horizontal SIMDization thrives on isomorphic actor sets (§3.3); a graph
-with sixteen structurally identical band-pass filters should pay the
-compile cost once, not sixteen times.  The cache key is exactly the
-equivalence the structhash isomorphism check induces — the typed canonical
-body from :mod:`.canon` — crossed with the :class:`~.compiler.Specialization`
+A kernel bakes its body's constants into its closures, so it is keyed by
+the body itself crossed with the :class:`~.compiler.Specialization`
 (tape kinds, lane ordering, SIMD width, state shapes), since a kernel's
-closures and static counter deltas are only valid under the specialisation
-they were compiled for.
+closures and static counter deltas are only valid under the
+specialisation they were compiled for.  Actors built from one factory
+with the same arguments share a kernel; an entry built from an equal but
+different body object serves only under
+:func:`repro.ir.structhash.same_constants`.
 
-``CacheStats`` exposes lookup/hit/miss counts so tests can
-assert that structhash-equal actors really do share one kernel, and so
-``macross run/profile/trace --backend compiled`` can surface cache
-behaviour per execution (see
+``CacheStats`` exposes lookup/hit/miss counts so tests can assert what
+was shared, and so ``macross run/profile/trace --backend compiled`` can
+surface cache behaviour per execution (see
 :meth:`repro.runtime.executor.ExecutionResult.kernel_cache`).
 """
 
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from ...ir import stmt as S
+from ...ir.structhash import same_constants
 from .compiler import Kernel, Specialization, compile_kernel
 
 
@@ -55,14 +55,16 @@ class CacheStats:
 
 
 class KernelCache:
-    """Maps ``(canonical body, specialisation)`` to a compiled kernel.
+    """Maps ``(body, specialisation)`` to a compiled kernel.
 
     Unbounded: a kernel is keyed by content, so residency grows with the
     number of distinct actor bodies a process has seen, never per run.
     """
 
     def __init__(self) -> None:
-        self._kernels: Dict[Tuple[S.Body, Specialization], Kernel] = {}
+        # key -> (body built from, kernel)
+        self._kernels: Dict[Tuple[S.Body, Specialization],
+                            Tuple[S.Body, Kernel]] = {}
         self.stats = CacheStats()
         # Per-core set-up runs sequentially, but ``resolve_backend`` hands
         # every thread of the process the same backend (and so the same
@@ -74,20 +76,19 @@ class KernelCache:
     def __len__(self) -> int:
         return len(self._kernels)
 
-    def get_or_compile(self, canon_body: S.Body,
-                       spec: Specialization) -> Kernel:
-        """Return the kernel for ``canon_body`` under ``spec``, compiling it
-        on first request.  Kernels are stateless (per-instance constants are
-        bound into the :class:`~.compiler.Frame`, not the kernel), so
-        sharing across actors and executions is always sound.  Thread-safe:
-        concurrent per-core setup threads serialise here."""
+    def get_or_compile(self, body: S.Body, spec: Specialization) -> Kernel:
+        """Return the kernel for ``body`` under ``spec``, compiling it on
+        first request.  Kernels keep no per-actor data (that lives in the
+        :class:`~.compiler.Frame`), so sharing across actors and
+        executions is always sound.  Thread-safe: concurrent per-core
+        setup threads serialise here."""
         with self._lock:
             self.stats.lookups += 1
-            key = (canon_body, spec)
-            kernel = self._kernels.get(key)
-            if kernel is None:
-                kernel = compile_kernel(canon_body, spec)
-                self._kernels[key] = kernel
+            key = (body, spec)
+            entry = self._kernels.get(key)
+            if entry is None or not same_constants(entry[0], body):
+                entry = (body, compile_kernel(body, spec))
+                self._kernels[key] = entry
             else:
                 self.stats.hits += 1
-            return kernel
+            return entry[1]

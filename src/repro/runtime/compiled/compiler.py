@@ -1,10 +1,10 @@
 """IR -> closure compiler with static event aggregation.
 
-``compile_kernel`` turns one actor body (in constant-abstracted canonical
-form, see :mod:`.canon`) into a :class:`Kernel`: a single Python callable
-that executes the body against a :class:`Frame` (the per-actor runtime
-view).  Compilation happens once per canonical shape; every firing then
-runs pre-composed closures instead of re-walking the IR tree.
+``compile_kernel`` turns one actor body into a :class:`Kernel`: a single
+Python callable that executes the body against a :class:`Frame` (the
+per-actor runtime view), every constant baked into its closure as a
+literal.  Compilation happens once per (body, specialisation); every
+firing then runs pre-composed closures instead of re-walking the IR tree.
 
 Two properties are load-bearing:
 
@@ -40,7 +40,6 @@ from ...perf import events as ev
 from ..errors import InterpreterError
 from ..interpreter import ActorRuntime
 from ..values import BINARY_IMPLS, UNARY_IMPLS, math_impl
-from .canon import array_slot_index, slot_index
 from .shapes import (
     SCALAR,
     UNKNOWN,
@@ -80,13 +79,12 @@ class Frame:
     steady-phase counters) is respected.
     """
 
-    __slots__ = ("locals", "state", "rt", "consts", "events", "inp", "out")
+    __slots__ = ("locals", "state", "rt", "events", "inp", "out")
 
     def __init__(self, rt: ActorRuntime) -> None:
         self.locals: Dict[str, Any] = {}
         self.state = rt.state
         self.rt = rt
-        self.consts: Tuple[Any, ...] = ()
         self.events = rt.counters.events
         self.inp = rt.input
         self.out = rt.output
@@ -94,7 +92,7 @@ class Frame:
 
 @dataclass(frozen=True)
 class Specialization:
-    """Everything (besides the canonical body) a kernel is specialised on."""
+    """Everything (besides the body) a kernel is specialised on."""
 
     is_work: bool
     simd_width: int
@@ -242,11 +240,6 @@ def _compile_expr(e: E.Expr, ctx: _Ctx) -> Tuple[ExprFn, Shape, Counter]:
     spec = ctx.spec
 
     if isinstance(e, E.Var):
-        idx = slot_index(e.name)
-        if idx is not None:
-            def const_fn(f: Frame, _i=idx) -> Any:
-                return f.consts[_i]
-            return const_fn, SCALAR, Counter()
         get = _loader(e.name, ctx)
         return get, ctx.shape_of(e.name), Counter()
 
@@ -256,6 +249,11 @@ def _compile_expr(e: E.Expr, ctx: _Ctx) -> Tuple[ExprFn, Shape, Counter]:
         def lit_fn(f: Frame, _v=value) -> Any:
             return _v
         return lit_fn, SCALAR, Counter()
+
+    if isinstance(e, E.Param):
+        raise InterpreterError(
+            f"unbound parameter {e.name!r} reached the compiled backend "
+            f"(bind_params first)")
 
     if isinstance(e, E.VectorConst):
         values = e.values
@@ -839,36 +837,23 @@ def _compile_decl_array(stmt: S.DeclArray,
     name = stmt.name
     width = stmt.elem_type.width if isinstance(stmt.elem_type, Vector) else 0
     size = stmt.size
-    slot = array_slot_index(stmt.init) if stmt.init is not None else None
+    init = stmt.init
 
-    if stmt.init is None:
+    if init is None:
         if width:
             def decl_fn(f: Frame) -> None:
                 f.locals[name] = [[0.0] * width for _ in range(size)]
         else:
             def decl_fn(f: Frame) -> None:
                 f.locals[name] = [0.0] * size
-    elif slot is not None:
-        if width:
-            def decl_fn(f: Frame) -> None:
-                init = f.consts[slot]
-                f.locals[name] = [
-                    list(item) if isinstance(item, tuple) else [item] * width
-                    for item in init]
-        else:
-            def decl_fn(f: Frame) -> None:
-                f.locals[name] = list(f.consts[slot])
-    else:  # literal (non-abstracted) initialiser — not produced by canon,
-        # but kept for robustness when compiling raw bodies in tests.
-        init = stmt.init
-        if width:
-            def decl_fn(f: Frame) -> None:
-                f.locals[name] = [
-                    list(item) if isinstance(item, tuple) else [item] * width
-                    for item in init]
-        else:
-            def decl_fn(f: Frame) -> None:
-                f.locals[name] = list(init)
+    elif width:
+        def decl_fn(f: Frame) -> None:
+            f.locals[name] = [
+                list(item) if isinstance(item, tuple) else [item] * width
+                for item in init]
+    else:
+        def decl_fn(f: Frame) -> None:
+            f.locals[name] = list(init)
     ctx.shapes[name] = array_of(VECTOR if width else SCALAR)
     return decl_fn, Counter()
 
@@ -1106,7 +1091,7 @@ def _make_runner(fns: Tuple[StmtFn, ...],
 
 
 def compile_kernel(body: S.Body, spec: Specialization) -> Kernel:
-    """Compile one canonical body under ``spec`` into a :class:`Kernel`.
+    """Compile one body under ``spec`` into a :class:`Kernel`.
 
     Work kernels iterate state-shape inference to a cross-firing fixpoint
     (a state variable assigned a different shape than it started with

@@ -20,8 +20,8 @@ Who does what:
   and passes one slice per core.
 * **Coalescing** — merging all steady cycles into one phase so batch
   kernels see the maximal firing count — is decided here, from what the
-  loop can observe: a single slice, a backend that asks for it, tape
-  levels that admit it.
+  loop can observe: a single slice, batch closures to run (only a
+  batching backend hands any out), tape levels that admit it.
 * **Failure** in a threaded slice goes to the caller's ``abort`` object
   (anything with ``trip(exc)``, ``tripped``, ``exception``), which is
   how blocked peers get released.  The loop never imports
@@ -195,8 +195,8 @@ class _GraphRun:
         #: (vector backend only; every entry point re-validates its tapes
         #: — including cross-core ``Channel`` tapes — at runtime).
         self.batch_fns: Dict[int, Callable[[int], bool]] = {}
-        #: vectorization decisions for batched *movers* (filter decisions
-        #: live on the actor objects themselves).
+        #: per-actor vectorization decisions, filters and movers alike
+        #: (vector backend only).
         self.vector_status: Dict[int, str] = {}
         #: firings executed through a batched fast path (array kernel or
         #: batched mover) rather than per-firing replay.
@@ -253,8 +253,12 @@ class _GraphRun:
             def fire_filter(_runner=runner, _body=work_body) -> None:
                 _runner.run_work(_body)
             self.fire_fns[actor.id] = fire_filter
-            if hasattr(runner, "run_work_batch"):
-                self.batch_fns[actor.id] = runner.run_work_batch
+            make_batch = getattr(self.backend, "make_batch_filter", None)
+            if make_batch is not None:
+                batch, self.vector_status[actor.id] = make_batch(
+                    runtime, spec, in_tape, fire_filter)
+                if batch is not None:
+                    self.batch_fns[actor.id] = batch
 
     def _generic_mover(self, actor_id: int, spec: Any) -> Callable[[], None]:
         """Fallback mover firing through the generic ``_fire_*`` paths."""
@@ -485,12 +489,11 @@ def _run_phases(run: _GraphRun, iterations: int, tracer: Tracer,
                                init_counters.by_actor.values()))
     with tracer.span(f"{label}.steady", cat=cat,
                      iterations=iterations) as sp:
-        # The vector backend merges all steady cycles into one phase
-        # when tape levels admit it, so batch kernels see the maximal
-        # firing count (outputs and counters are identical either way).
+        # A run with batch closures merges all steady cycles into one
+        # phase when tape levels admit it, so batch kernels see the
+        # maximal firing count (outputs and counters are identical either
+        # way).
         coalesced = bool(core is None and iterations > 1 and run.batch_fns
-                         and getattr(run.backend, "coalesce_iterations",
-                                     False)
                          and _merged_phase_admissible(run, steady,
                                                       iterations))
         if coalesced:
@@ -578,10 +581,6 @@ def _run_slices(graph: StreamGraph, schedule: Schedule,
         vectorized = {}
         for run in runs.values():
             statuses = dict(run.vector_status)
-            for actor_id, runner in run.actors.items():
-                status = getattr(runner, "vector_status", None)
-                if status is not None:
-                    statuses[actor_id] = status
             _annotate_tape_fallbacks(run, statuses)
             vectorized.update(statuses)
     parts = dict(sorted(parts.items()))     # workers finish in any order

@@ -7,12 +7,11 @@ See :mod:`.kernel` for the vectorizability analysis and
 :mod:`.np_compat` for the bit-parity intrinsic calibration.
 """
 
-from .backend import VectorActor, VectorBackend
+from .backend import VectorBackend
 from .kernel import BatchKernel, Unvectorizable, build_batch_kernel
 from .np_compat import HAVE_NUMPY, EXACT_INTRINSICS, exact_intrinsics
 
 __all__ = [
-    "VectorActor",
     "VectorBackend",
     "BatchKernel",
     "Unvectorizable",

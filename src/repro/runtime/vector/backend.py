@@ -1,25 +1,25 @@
 """The vector execution backend: whole-array batch execution per actor.
 
-``VectorBackend`` extends :class:`~repro.runtime.compiled.CompiledBackend`
-— every actor still gets the compiled closure kernels (they run the init
-body and serve as the per-firing fallback) — and additionally looks up a
-:class:`~.kernel.BatchKernel` per filter once its init body has run.  The
-backend builds each kernel once per *build key* (everything the builder
-reads: the work body, the tape kinds and lane ordering, the SIMD width
-and SAGU flag, and the post-init state's type structure) and keeps it, or
-the refusal, for every later actor and execution with that key — the
-vector twin of the compiled backend's :class:`KernelCache`.  Actors whose
-work body vectorizes execute ``n`` consecutive firings as a handful of
-numpy array operations through ``run_work_batch``; actors that do not
-(data-dependent control flow, array indices read from the stream, ...)
-fall back to the compiled path per firing, and the decision —
-``"vector"``, ``"vector:scan"`` (the kernel runs a modular state
-recurrence as an int64 jump-ahead scan) or ``"fallback: <reason>"`` — is
-recorded per actor and surfaced through ``ExecutionResult.vectorized``
-and the obs layer.
+``VectorBackend`` is the compiled backend plus two batch hooks the
+executor calls while it sets a run up.  Every filter still gets the
+compiled closure kernels (they run the init body and serve as the
+per-firing fallback); once its init body has run, the executor asks
+:meth:`VectorBackend.make_batch_filter` for an ``n``-firing batch, just
+as it asks :meth:`VectorBackend.make_batch_mover` for the movers'
+(splitters/joiners, through the closures :mod:`repro.runtime.movers`
+derives from each mover's lane map).
 
-Movers (splitters/joiners) batch too, through the ``n``-firing closures
-:mod:`repro.runtime.movers` derives from each mover's lane map.
+A filter's batch runs a :class:`~.kernel.BatchKernel` the backend builds
+once per *build key* (everything the builder reads: the work body, the
+tape kinds and lane ordering, the SIMD width and SAGU flag, and the
+post-init state's type structure) and keeps, or keeps the refusal of,
+for every later actor and execution with that key — the vector twin of
+the compiled backend's :class:`~repro.runtime.compiled.KernelCache`.
+The decision — ``"vector"``, ``"vector:scan"`` (the kernel runs a
+modular state recurrence as an int64 jump-ahead scan) or
+``"fallback: <reason>"`` (no batch: data-dependent control flow, array
+indices read from the stream, ...) — is recorded per actor and surfaced
+through ``ExecutionResult.vectorized`` and the obs layer.
 
 Every batch entry point re-validates at runtime and *returns control to
 the per-firing path* when a guard fails (unknown tape subclass,
@@ -36,80 +36,23 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from ...graph.actor import FilterSpec
 from ...graph.stream_graph import TapeEdge
+from ...ir.structhash import same_constants
 from ..errors import StreamRuntimeError
-from ..compiled.backend import CompiledActor, CompiledBackend
+from ..compiled.backend import CompiledBackend
 from ..compiled.cache import KernelCache
-from ..compiled.canon import exact_consts
 from ..interpreter import ActorRuntime
 from ..movers import BatchFn, make_batch_mover
 from ..tape import NdTape
 from .kernel import BatchKernel, Unvectorizable, build_batch_kernel
 from .np_compat import HAVE_NUMPY
 
-__all__ = ["VectorActor", "VectorBackend"]
-
-
-class VectorActor(CompiledActor):
-    """Compiled actor that additionally batches its work function.
-
-    The batch kernel is looked up *after* ``run_init`` (vectorizability
-    depends on the post-init state: types, array shapes) from the
-    backend, which builds it once per build key and shares it between
-    actors.  ``vector_status`` records the decision.
-    """
-
-    __slots__ = ("vector_status", "_batch_kernel", "_spec", "_in_vector",
-                 "_backend")
-
-    def __init__(self, runtime: ActorRuntime, *args: Any) -> None:
-        super().__init__(runtime, *args)
-        self.vector_status = "fallback: not built"
-        self._batch_kernel: Optional[BatchKernel] = None
-        self._spec: Optional[FilterSpec] = None
-        self._in_vector = False
-        self._backend: Optional[VectorBackend] = None
-
-    def configure_vector(self, spec: FilterSpec, in_vector: bool,
-                         backend: VectorBackend) -> None:
-        self._spec = spec
-        self._in_vector = in_vector
-        self._backend = backend
-        if not spec.init_body:
-            # No init body means the executor never calls run_init: the
-            # state is already final, build now.
-            self._build()
-
-    def run_init(self, body: Any = None) -> None:
-        super().run_init(body)
-        if self._spec is not None and self._batch_kernel is None \
-                and self.vector_status == "fallback: not built":
-            self._build()
-
-    def _build(self) -> None:
-        self._batch_kernel, self.vector_status = \
-            self._backend.batch_kernel(self.rt, self._spec, self._in_vector)
-
-    def run_work_batch(self, n: int) -> bool:
-        """Fire ``n`` times: one array batch when possible, else ``n``
-        compiled firings (bit-identical either way).  Returns whether the
-        batched path actually ran."""
-        kernel = self._batch_kernel
-        if kernel is not None and kernel.run(self.rt, n):
-            return True
-        run_work = self.run_work
-        for _ in range(n):
-            run_work()
-        return False
+__all__ = ["VectorBackend"]
 
 
 class VectorBackend(CompiledBackend):
     """Execution backend batching actor firings into array kernels."""
 
     name = "vector"
-    _actor_class = VectorActor
-    #: The executor may merge all steady iterations into one giant phase
-    #: (after an admissibility check) so batch kernels see maximal ``n``.
-    coalesce_iterations = True
     #: Tapes owned by this backend's runs keep stream data in machine
     #: layout (int64/float64 ndarrays with list fallback) so batch kernels
     #: read and commit zero-copy array views instead of round-tripping
@@ -130,14 +73,6 @@ class VectorBackend(CompiledBackend):
         self._batch_kernels: Dict[
             Hashable, Tuple[Any, Optional[BatchKernel], str]] = {}
 
-    def make_filter_actor(self, runtime: ActorRuntime, spec: FilterSpec,
-                          in_edge: Optional[TapeEdge],
-                          out_edge: Optional[TapeEdge]) -> VectorActor:
-        actor = super().make_filter_actor(runtime, spec, in_edge, out_edge)
-        in_vector = bool(in_edge is not None and in_edge.is_vector)
-        actor.configure_vector(spec, in_vector, self)
-        return actor
-
     def batch_kernel(self, runtime: ActorRuntime, spec: FilterSpec,
                      in_vector: bool) -> Tuple[Optional[BatchKernel], str]:
         """The batch kernel for ``spec``'s work body against ``runtime``
@@ -152,11 +87,7 @@ class VectorBackend(CompiledBackend):
                tuple((name, _shape(value))
                      for name, value in runtime.state.items()))
         entry = self._batch_kernels.get(key)
-        # The builder bakes each constant in as it is: an entry built from
-        # another, equal body object serves only if every constant's type
-        # and sign match as well.
-        if entry is None or (entry[0] is not body and
-                             exact_consts(entry[0]) != exact_consts(body)):
+        if entry is None or not same_constants(entry[0], body):
             try:
                 kernel = build_batch_kernel(runtime, spec, in_vector)
                 scanned = any(av.m is not None for av in kernel.aff_vars)
@@ -165,6 +96,27 @@ class VectorBackend(CompiledBackend):
                 entry = (body, None, f"fallback: {exc}")
             self._batch_kernels[key] = entry
         return entry[1], entry[2]
+
+    def make_batch_filter(self, runtime: ActorRuntime, spec: FilterSpec,
+                          in_edge: Optional[TapeEdge],
+                          fire: Callable[[], None]
+                          ) -> Tuple[Optional[BatchFn], str]:
+        """``n``-firing batch closure for a filter whose init body has
+        run, or ``None``, and its vector status; ``fire`` is its
+        per-firing fallback, which replays a batch the kernel refuses."""
+        kernel, status = self.batch_kernel(
+            runtime, spec, bool(in_edge is not None and in_edge.is_vector))
+        if kernel is None:
+            return None, status
+        run = kernel.run
+
+        def batch(n: int) -> bool:
+            if run(runtime, n):
+                return True
+            for _ in range(n):
+                fire()
+            return False
+        return batch, status
 
     def make_batch_mover(self, run: Any, actor: Any,
                          fire: Callable[[], None]) -> Optional[BatchFn]:

@@ -42,8 +42,8 @@ from .scheduler import (LeastLoaded, PlacementPolicy, RoundRobin,
                         UnknownPolicyError, get_policy, list_policies,
                         register_policy)
 from .session import (ERROR_KIND_WORKER_DIED, ServeError, ServeOverload,
-                      SessionResult, SessionSpec, WorkerDied, counter_bags,
-                      decode_result, encode_result, worker_died_result)
+                      SessionResult, SessionSpec, WorkerDied, decode_result,
+                      encode_result, worker_died_result)
 from .store import (STORE_ENV_VAR, STORE_VERSION, KernelStore, StoreStats,
                     default_store_dir)
 from .transport import (SHM_THRESHOLD_DEFAULT, WIRE_TRANSPORTS,
@@ -58,7 +58,7 @@ __all__ = [
     "ServeError", "ServeOverload", "ServePool", "ServeTimeout",
     "SessionResult", "SessionSpec", "SessionTicket", "StoreStats",
     "UnknownPolicyError", "WIRE_TRANSPORTS", "WorkerDied", "WorkerEnv",
-    "WorkerStats", "counter_bags", "decode_result", "default_store_dir",
+    "WorkerStats", "decode_result", "default_store_dir",
     "encode_result", "get_policy", "kill_worker_after", "list_policies",
     "load_result_shm", "percentile", "register_policy", "run_closed_loop",
     "run_open_loop", "segment_names", "shm_threshold_default",

@@ -23,13 +23,12 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
-from ..perf.counters import PerActorCounters
 from ..runtime.errors import StreamRuntimeError
 from ..simd.machine import CORE_I7
 
 __all__ = [
     "ERROR_KIND_WORKER_DIED", "ServeError", "ServeOverload", "SessionSpec",
-    "SessionResult", "WorkerDied", "counter_bags", "decode_result",
+    "SessionResult", "WorkerDied", "decode_result",
     "encode_result", "worker_died_result",
 ]
 
@@ -202,17 +201,6 @@ def worker_died_result(seq: int, worker: int, *,
         reason += f": {detail}"
     return WorkerDied(seq=seq, worker=worker, retried=retried,
                       error=reason, error_kind=ERROR_KIND_WORKER_DIED)
-
-
-def counter_bags(per_actor: PerActorCounters) -> Dict[int, Dict[str, int]]:
-    """Normalize counters to comparable bags (drop zero counts and
-    actors that charged nothing)."""
-    return {
-        actor_id: {event: count
-                   for event, count in counters.events.items() if count}
-        for actor_id, counters in per_actor.by_actor.items()
-        if any(counters.events.values())
-    }
 
 
 def encode_result(result: SessionResult) -> Dict[str, Any]:

@@ -2,8 +2,8 @@
 
 Each worker process owns one :class:`WorkerEnv`: a persistent
 compiled-backend environment (the content-addressed
-:class:`~repro.runtime.compiled.cache.KernelCache`, keyed by the
-structhash-induced canonical bodies) plus a *graph cache* mapping
+:class:`~repro.runtime.compiled.cache.KernelCache`, keyed by the actor
+bodies themselves) plus a *graph cache* mapping
 :meth:`SessionSpec.graph_key` to an already-SIMDized graph and schedule.
 Repeated sessions for the same (app, target, pipeline) therefore
 recompile nothing — neither the MacroSS pipeline nor the closure
@@ -24,8 +24,8 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from .session import (SessionResult, SessionSpec, counter_bags,
-                      encode_result)
+from ..perf.counters import counter_bags
+from .session import SessionResult, SessionSpec, encode_result
 
 __all__ = ["WorkerEnv", "worker_main"]
 

@@ -97,6 +97,16 @@ def outputs_of(graph, iterations: int = 4, machine=CORE_I7):
     return execute(graph, machine=machine, iterations=iterations).outputs
 
 
+def vector_batch(runtime, spec):
+    """What the executor builds for a vector-backend filter with no init
+    body: ``(batch closure or None, vector status)``, the batch replaying
+    a refused ``n`` through the compiled per-firing path."""
+    from repro.runtime.vector import VectorBackend
+    backend = VectorBackend()
+    actor = backend.make_filter_actor(runtime, spec, None, None)
+    return backend.make_batch_filter(runtime, spec, None, actor.run_work)
+
+
 class HookedBackend(InterpreterBackend):
     """The interpreter backend with ``hook(actor id, filter name)`` called
     before every ``run_work`` — a probe, or a fault injector, at the

@@ -9,9 +9,10 @@ init outputs, same per-actor counter bags, deterministically.
 import pytest
 
 from repro.apps import BENCHMARKS
-from repro.fuzz.harness import _counter_bags, check_parallel
+from repro.fuzz.harness import check_parallel
 from repro.multicore import ParallelExecutionResult, parallel_execute
 from repro.obs.tracer import Tracer
+from repro.perf.counters import counter_bags
 from repro.plan import Partition
 from repro.runtime import execute
 from repro.runtime.errors import StreamRuntimeError
@@ -65,8 +66,8 @@ def test_determinism_across_runs():
     for other in runs[1:]:
         assert other.outputs == first.outputs
         assert other.init_outputs == first.init_outputs
-        assert (_counter_bags(other.steady_counters)
-                == _counter_bags(first.steady_counters))
+        assert (counter_bags(other.steady_counters)
+                == counter_bags(first.steady_counters))
         assert other.partition == first.partition
 
 
@@ -91,11 +92,11 @@ class TestResultAnatomy:
         seq, par = self._run()
         merged = {}
         for counters in par.per_core_steady.values():
-            bags = _counter_bags(counters)
+            bags = counter_bags(counters)
             assert not set(bags) & set(merged), "cores share an actor"
             merged.update(bags)
-        assert merged == _counter_bags(seq.steady_counters)
-        assert merged == _counter_bags(par.steady_counters)
+        assert merged == counter_bags(seq.steady_counters)
+        assert merged == counter_bags(par.steady_counters)
 
     def test_core_cycles_sum_matches_sequential(self):
         seq, par = self._run()

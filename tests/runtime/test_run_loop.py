@@ -19,9 +19,9 @@ import repro.multicore
 import repro.multicore.parallel as parallel_mod
 from repro.apps import BENCHMARKS
 from repro.experiments.harness import scalar_graph
-from repro.fuzz.harness import _counter_bags
 from repro.multicore import parallel_execute
 from repro.obs.tracer import Tracer
+from repro.perf.counters import counter_bags
 from repro.runtime import execute
 from repro.runtime.tape import HAVE_NUMPY
 from repro.simd.machine import CORE_I7
@@ -155,8 +155,8 @@ def _observed(result, tracer):
     return {
         "outputs": result.outputs,
         "init_outputs": result.init_outputs,
-        "init_bags": _counter_bags(result.init_counters),
-        "steady_bags": _counter_bags(result.steady_counters),
+        "init_bags": counter_bags(result.init_counters),
+        "steady_bags": counter_bags(result.steady_counters),
         "vectorized": result.vectorized,
         "batched_firings": result.batched_firings,
         "kernel_cache_keys": (None if result.kernel_cache is None
@@ -194,7 +194,8 @@ def test_one_slice_doors_agree(app):
                     (variant, backend, door)
             if seen["execute"]["coalesced"]:
                 coalesced.add(backend)
-    # Only the vector backend asks for coalescing — through either door.
+    # Only the vector backend hands out batches, so only it coalesces —
+    # through either door.
     assert coalesced <= {"vector"}
 
 

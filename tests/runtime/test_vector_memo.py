@@ -29,6 +29,8 @@ from repro.runtime.interpreter import ActorRuntime, Interpreter
 from repro.runtime.tape import NdTape
 from repro.runtime.vector import VectorBackend
 
+from ..conftest import vector_batch
+
 
 @pytest.fixture
 def builds(monkeypatch):
@@ -249,10 +251,10 @@ class TestInexactIntrinsics:
         assert type(want_error) is error and 0 < len(want) < len(data)
 
         rt = _runtime(spec, data)
-        actor = VectorBackend().make_filter_actor(rt, spec, None, None)
-        assert actor.vector_status == "vector"
+        batch, status = vector_batch(rt, spec)
+        assert status == "vector"
         with pytest.raises(error) as exc:
-            actor.run_work_batch(len(data))
+            batch(len(data))
         assert str(exc.value) == str(want_error)
         assert rt.output.drain() == want
 

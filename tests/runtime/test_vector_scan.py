@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 import repro.runtime.vector.kernel as vector_kernel
 from repro.fuzz.descriptions import make_lcg_source
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.vector import VectorBackend
 from repro.runtime.vector.kernel import (_SCAN_CHUNK, _SharedArrays,
                                          build_batch_kernel)
 
+from ..conftest import vector_batch
 from .test_vector_fallback import _runtime
 
 
@@ -89,18 +89,18 @@ class TestRuntimeGuards:
     def _pair(self, seed):
         spec = _lcg_spec(1103515245, 12345, self.M, seed, 2)
         rt, ref = _runtime(spec), _runtime(spec)
-        actor = VectorBackend().make_filter_actor(rt, spec, None, None)
-        assert actor.vector_status == "vector:scan"
-        return spec, rt, ref, actor, build_batch_kernel(rt, spec, False)
+        batch, status = vector_batch(rt, spec)
+        assert status == "vector:scan"
+        return spec, rt, ref, batch, build_batch_kernel(rt, spec, False)
 
-    def _assert_refused_then_exact(self, spec, rt, ref, actor, kernel, n=3):
+    def _assert_refused_then_exact(self, spec, rt, ref, batch, kernel, n=3):
         state, events = dict(rt.state), dict(rt.counters.events)
         assert kernel.run(rt, n) is False
         assert rt.state == state and type(rt.state["s"]) is type(state["s"])
         assert len(rt.output) == 0
         assert dict(rt.counters.events) == events
-        # The actor's batch entry point replays the same batch per firing.
-        assert actor.run_work_batch(n) is False
+        # The filter's batch closure replays the same batch per firing.
+        assert batch(n) is False
         interp = Interpreter(ref)
         for _ in range(n):
             interp.run_work(spec.work_body)
@@ -116,20 +116,20 @@ class TestRuntimeGuards:
 
     @pytest.mark.parametrize("swapped", [1234.0, True])
     def test_state_type_swapped_between_batches_replays(self, swapped):
-        spec, rt, ref, actor, kernel = self._pair(99)
-        assert actor.run_work_batch(2) is True
+        spec, rt, ref, batch, kernel = self._pair(99)
+        assert batch(2) is True
         interp = Interpreter(ref)
         for _ in range(2):
             interp.run_work(spec.work_body)
         assert rt.output.drain() == ref.output.drain()
         rt.state["s"] = ref.state["s"] = swapped
-        self._assert_refused_then_exact(spec, rt, ref, actor, kernel)
+        self._assert_refused_then_exact(spec, rt, ref, batch, kernel)
 
     def test_in_range_state_after_replay_batches_again(self):
-        _spec, rt, _ref, actor, _kernel = self._pair(2 ** 31 + 5)
-        assert actor.run_work_batch(1) is False     # seed ≥ m: replayed
+        _spec, rt, _ref, batch, _kernel = self._pair(2 ** 31 + 5)
+        assert batch(1) is False                    # seed ≥ m: replayed
         assert 0 <= rt.state["s"] < self.M
-        assert actor.run_work_batch(4) is True      # now inside [0, m)
+        assert batch(4) is True                     # now inside [0, m)
 
 
 class TestSharedConstants:

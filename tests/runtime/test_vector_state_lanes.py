@@ -31,8 +31,9 @@ from repro.ir import FLOAT, INT, ArrayHandle, WorkBuilder, call, vector_of
 from repro.perf.counters import PerActorCounters
 from repro.runtime.interpreter import ActorRuntime, Interpreter
 from repro.runtime.tape import NdTape
-from repro.runtime.vector import VectorBackend
 from repro.runtime.vector.kernel import Unvectorizable, build_batch_kernel
+
+from ..conftest import vector_batch
 
 #: Ring length of every ring below; batch sizes straddle it.
 N = 4
@@ -269,8 +270,8 @@ class TestScanLane:
         assert len(rt.input) == 6 and len(rt.output) == 0
         assert rt.state == state and not rt.counters.events
         # The backend's replay is the interpreter's, exact past 2**53.
-        actor = VectorBackend().make_filter_actor(rt, spec, None, None)
-        assert actor.run_work_batch(6) is False
+        batch, _ = vector_batch(rt, spec)
+        assert batch(6) is False
         want = _interp(spec, state, data, 6)
         assert rt.output.drain() == want.output.drain()
         assert rt.state == want.state == {"s": 2 ** 53 + 14}
@@ -289,10 +290,10 @@ class TestScanLane:
             for _ in data:
                 interp.run_work(spec.work_body)
         rt = _runtime(state, data)
-        actor = VectorBackend().make_filter_actor(rt, spec, None, None)
-        assert actor.vector_status == "vector"
+        batch, status = vector_batch(rt, spec)
+        assert status == "vector"
         with pytest.raises(ValueError) as got:
-            actor.run_work_batch(len(data))
+            batch(len(data))
         assert str(got.value) == str(want.value)
         assert rt.output.drain() == ref.output.drain()
         assert rt.state == ref.state

@@ -10,9 +10,10 @@ import pytest
 
 from repro.fuzz import desc_to_dict, generate_program
 from repro.graph.flatten import flatten
+from repro.perf.counters import counter_bags
 from repro.runtime import execute
 from repro.schedule import build_schedule
-from repro.serve import SessionSpec, WorkerEnv, counter_bags
+from repro.serve import SessionSpec, WorkerEnv
 from repro.simd import CORE_I7, compile_graph
 
 
