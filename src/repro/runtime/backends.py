@@ -25,16 +25,17 @@ Three backends exist: ``"interp"`` (the tree-walking
 ``"compiled"`` (:class:`~repro.runtime.compiled.CompiledBackend`; IR
 compiled once to Python closures with cached kernels and batched counter
 charging), and ``"vector"``
-(:class:`~repro.runtime.vector.VectorBackend`; numpy whole-array batch
-kernels over many firings at once, falling back per actor to the compiled
-path when a work body is not provably vectorizable — requires the
-optional numpy dependency, ``pip install .[vector]``).  All produce
+(:class:`~repro.runtime.vector.VectorBackend`; the interpreter plus numpy
+whole-array batch kernels over many firings at once — an actor whose work
+body is not provably vectorizable replays on the interpreter — requires
+the optional numpy dependency, ``pip install .[vector]``).  All produce
 bit-identical outputs and performance counters — the differential test
 suite enforces this over every registry application.
 
 ``resolve_backend`` maps the string names to backend objects.  The
 ``"compiled"`` and ``"vector"`` strings resolve to process-wide
-singletons so repeated ``execute`` calls share one kernel cache; pass a
+singletons so repeated ``execute`` calls share one kernel cache (closure
+kernels on ``"compiled"``, batch kernels on ``"vector"``); pass a
 fresh backend instance instead when isolated cache statistics are needed.
 """
 

@@ -30,14 +30,11 @@ The public entry point is :class:`CompiledBackend`, selected through
 from __future__ import annotations
 
 from .backend import CompiledActor, CompiledBackend
-from .cache import CacheStats, KernelCache
 from .compiler import Kernel, Specialization, compile_kernel
 
 __all__ = [
     "CompiledActor",
     "CompiledBackend",
-    "CacheStats",
-    "KernelCache",
     "Kernel",
     "Specialization",
     "compile_kernel",

@@ -3,7 +3,7 @@
 ``CompiledBackend`` is the object :func:`repro.runtime.executor.execute`
 talks to when run with ``backend="compiled"``.  For every filter it
 fetches (or compiles) the init and work kernels of the actor's bodies
-from the :class:`~.cache.KernelCache` and wraps them in a
+from its :class:`~repro.runtime.cache.KernelCache` and wraps them in a
 :class:`CompiledActor` that is API-compatible with
 :class:`repro.runtime.interpreter.Interpreter` (``.rt``, ``run_init``,
 ``run_work``).  Splitters and joiners get the per-firing closures derived
@@ -16,10 +16,10 @@ from typing import Any, Optional
 
 from ...graph.actor import FilterSpec
 from ...graph.stream_graph import TapeEdge
+from ..cache import KernelCache
 from ..interpreter import ActorRuntime
 from ..movers import make_mover
-from .cache import KernelCache
-from .compiler import Frame, Kernel, Specialization
+from .compiler import Frame, Kernel, Specialization, compile_kernel
 from .shapes import shape_of_state
 
 __all__ = ["CompiledActor", "CompiledBackend"]
@@ -67,8 +67,11 @@ class CompiledBackend:
 
     name = "compiled"
 
-    def __init__(self, cache: Optional[KernelCache] = None) -> None:
-        self.cache = cache if cache is not None else KernelCache()
+    def __init__(self) -> None:
+        self.cache = KernelCache()
+
+    def _kernel(self, body: Any, spec: Specialization) -> Kernel:
+        return self.cache.get(body, spec, lambda: compile_kernel(body, spec))
 
     def make_filter_actor(self, runtime: ActorRuntime, spec: FilterSpec,
                           in_edge: Optional[TapeEdge],
@@ -84,13 +87,13 @@ class CompiledBackend:
         )
         init_spec = Specialization(is_work=False, state_shapes=state_shapes,
                                    **common)
-        init_kernel = self.cache.get_or_compile(spec.init_body, init_spec)
+        init_kernel = self._kernel(spec.init_body, init_spec)
         # The work kernel's entry state shapes are whatever the init body
         # may have left behind (e.g. a scalar state seeded with a vector).
         work_spec = Specialization(is_work=True,
                                    state_shapes=init_kernel.exit_state_shapes,
                                    **common)
-        work_kernel = self.cache.get_or_compile(spec.work_body, work_spec)
+        work_kernel = self._kernel(spec.work_body, work_spec)
         return CompiledActor(runtime, init_kernel, work_kernel)
 
     def make_mover(self, run: Any, actor: Any):

@@ -79,16 +79,17 @@ class ExecutionResult:
     schedule: Schedule
     #: name of the execution backend that produced this result.
     backend: str = "interp"
-    #: kernel-cache counter deltas for this execution (compiled backend
-    #: only; ``None`` for backends without a kernel cache) — keys:
-    #: ``lookups``, ``hits``, ``misses``, ``compiled``, ``size`` (kernels
-    #: resident after the run).
+    #: kernel-cache counter deltas for this execution — closure-kernel
+    #: stats on the compiled backend, batch-kernel stats (kernels and
+    #: refusals) on the vector backend; ``None`` for backends without a
+    #: kernel cache — keys: ``lookups``, ``hits``, ``misses``,
+    #: ``compiled``, ``size`` (kernels resident after the run).
     kernel_cache: Optional[Dict[str, int]] = None
     #: vector backend only: per-actor vectorization decision — ``"vector"``
     #: (batch array kernel), ``"vector:scan"`` (batch kernel whose state
     #: recurrence ``s ← (a·s + c) % m`` runs as an int64 jump-ahead scan),
     #: ``"vector:mover"`` (batched native mover), or
-    #: ``"fallback: <reason>"`` (per-firing compiled path).  When a
+    #: ``"fallback: <reason>"`` (replays on the interpreter).  When a
     #: batched actor's ndarray tape degraded to list storage mid-run — a
     #: payload of another kind than its first value: an int on a float
     #: tape or the reverse, a ragged or non-float vector, a scalar on a
@@ -99,8 +100,9 @@ class ExecutionResult:
     #: is a float64 row and does not degrade.  ``None`` for other
     #: backends.
     vectorized: Optional[Dict[int, str]] = None
-    #: steady-phase firings executed through a batched fast path (array
-    #: kernel or batched mover); 0 for non-batching backends.
+    #: firings, init and steady phases alike, executed through a batched
+    #: fast path (array kernel or batched mover); 0 for non-batching
+    #: backends.
     batched_firings: int = 0
 
     def cycles_per_output(self, machine: MachineDescription) -> float:
@@ -186,7 +188,8 @@ class _GraphRun:
         self.tapes = tapes
         self.local_actors = frozenset(actors)
         self.collector: Optional[Tape] = None
-        #: filter actors by id (``Interpreter`` or ``CompiledActor``).
+        #: filter actors by id (``Interpreter``, or ``CompiledActor`` on
+        #: the compiled backend).
         self.actors: Dict[int, Any] = {}
         #: per-actor firing closures (filters and movers alike).
         self.fire_fns: Dict[int, Callable[[], None]] = {}

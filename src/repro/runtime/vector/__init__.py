@@ -1,8 +1,8 @@
 """Vectorized numpy data-plane backend (``backend="vector"``).
 
 Batches SW-wide × M-repetition runs of actor firings into whole-array
-numpy kernels over contiguous tape windows, falling back per actor to the
-compiled-closure path when the work body is not provably vectorizable.
+numpy kernels over contiguous tape windows; an actor whose work body is
+not provably vectorizable replays on the interpreter.
 See :mod:`.kernel` for the vectorizability analysis and
 :mod:`.np_compat` for the bit-parity intrinsic calibration.
 """

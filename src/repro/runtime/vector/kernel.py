@@ -20,8 +20,8 @@ consecutive firings as a handful of numpy array operations:
 
 Parity is the contract: outputs **and** counter bags must be bit-identical
 to the interpreter.  The builder therefore refuses (raises
-:class:`Unvectorizable`, triggering per-actor fallback to the compiled
-closure path) anything whose batch semantics it cannot prove exact:
+:class:`Unvectorizable`, and the actor replays on the interpreter)
+anything whose batch semantics it cannot prove exact:
 
 * data-dependent control flow (``If`` on a tape value, non-constant peek
   offsets, vector branch conditions) and array indices derived from
@@ -91,15 +91,16 @@ the scan are read by registers made before them in the walk), a flat
 ``(code, a, b)`` table for the registers' magnitude bounds, and a
 per-instruction list of the registers whose last use it is (freed as the
 batch runs, so an intermediate column does not outlive its readers).  It
-holds no closures and no per-run state, so one kernel may be kept by the
-backend and shared by every actor with the same build key, on any core.
+holds no closures and no per-run state, so one kernel may be kept in the
+backend's kernel cache and shared by every actor with the same build key,
+on any core.
 
 Even a successfully built kernel re-validates per batch (state types may
 have drifted, the input may have no window — list storage, or a degraded
 tape — or a window of the other kind, bounds may have grown, an output
 column may have no array form): ``BatchKernel.run`` returns ``False`` —
 and has changed **nothing** — when any guard fails, and the caller replays
-the batch firing-by-firing through the compiled path.  Runtime surprises
+the batch firing-by-firing on the interpreter.  Runtime surprises
 inside array evaluation raise :class:`_Abort` internally and roll back the
 same way (nothing is committed to tapes, state, or counters until every
 array has been computed).
@@ -186,7 +187,7 @@ class Unvectorizable(Exception):
 
 class _Abort(Exception):
     """Raised at batch time, before anything is committed: replay the batch
-    firing-by-firing through the fallback path."""
+    firing-by-firing on the interpreter."""
 
 
 class _NeedScan(Unvectorizable):
@@ -2579,7 +2580,7 @@ def build_batch_kernel(runtime: ActorRuntime, spec: FilterSpec,
     A scalar state variable whose update is not modular-affine moves to
     the sequential scan and the body is walked again.  Raises
     :class:`Unvectorizable` with a human-readable reason when the actor
-    must take the per-firing fallback path instead.
+    must replay on the interpreter instead.
     """
     if np is None:
         raise Unvectorizable("numpy is not installed")

@@ -1,13 +1,14 @@
 """Worker side of the serving runtime.
 
-Each worker process owns one :class:`WorkerEnv`: a persistent
-compiled-backend environment (the content-addressed
-:class:`~repro.runtime.compiled.cache.KernelCache`, keyed by the actor
-bodies themselves) plus a *graph cache* mapping
+Each worker process owns one :class:`WorkerEnv`: a persistent backend
+environment (its content-addressed
+:class:`~repro.runtime.cache.KernelCache`, keyed by the actor bodies
+themselves: closure kernels on the compiled backend, batch kernels on the
+vector backend) plus a *graph cache* mapping
 :meth:`SessionSpec.graph_key` to an already-SIMDized graph and schedule.
 Repeated sessions for the same (app, target, pipeline) therefore
-recompile nothing — neither the MacroSS pipeline nor the closure
-kernels — which is what makes a long-lived pool worth its processes.
+recompile nothing — neither the MacroSS pipeline nor the kernels — which
+is what makes a long-lived pool worth its processes.
 
 :func:`worker_main` is the process entry point.  It is a module-level
 function taking only picklable arguments, so the pool works under the
@@ -71,8 +72,8 @@ class WorkerEnv:
     ``backend="compiled"`` builds a private
     :class:`~repro.runtime.compiled.CompiledBackend` whose kernel cache
     lives as long as the worker; ``backend="vector"`` builds a private
-    :class:`~repro.runtime.vector.VectorBackend` the same way (numpy
-    batch kernels with per-actor fallback, same kernel cache);
+    :class:`~repro.runtime.vector.VectorBackend` the same way (the
+    interpreter plus numpy batch kernels, kept in its own kernel cache);
     ``backend="interp"`` serves through the reference interpreter (no
     kernel cache, still graph-cached).  Both caches are keyed by content
     and unbounded: they grow with the distinct session shapes a worker

@@ -100,11 +100,12 @@ def outputs_of(graph, iterations: int = 4, machine=CORE_I7):
 def vector_batch(runtime, spec):
     """What the executor builds for a vector-backend filter with no init
     body: ``(batch closure or None, vector status)``, the batch replaying
-    a refused ``n`` through the compiled per-firing path."""
+    a refused ``n`` on the interpreter."""
     from repro.runtime.vector import VectorBackend
     backend = VectorBackend()
     actor = backend.make_filter_actor(runtime, spec, None, None)
-    return backend.make_batch_filter(runtime, spec, None, actor.run_work)
+    return backend.make_batch_filter(
+        runtime, spec, None, lambda: actor.run_work(spec.work_body))
 
 
 class HookedBackend(InterpreterBackend):

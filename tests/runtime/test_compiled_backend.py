@@ -11,8 +11,9 @@ from repro.ir import structhash
 from repro.ir.structhash import exact_consts, isomorphic, same_constants
 from repro.runtime import execute, resolve_backend
 from repro.runtime.backends import InterpreterBackend
-from repro.runtime.compiled import CompiledBackend, KernelCache
-from repro.runtime.compiled.compiler import Specialization
+from repro.runtime.cache import KernelCache
+from repro.runtime.compiled import CompiledBackend
+from repro.runtime.compiled.compiler import Specialization, compile_kernel
 from repro.runtime.errors import InterpreterError, StreamRuntimeError
 from repro.simd.machine import CORE_I7
 
@@ -131,8 +132,10 @@ class TestTypedConstants:
         spec = Specialization(is_work=True, simd_width=4, has_sagu=False,
                               in_lane_ordered=False, out_lane_ordered=False,
                               in_vector=False, state_shapes=())
-        first = cache.get_or_compile(int_body, spec)
-        assert cache.get_or_compile(float_body, spec) is not first
+        first = cache.get(int_body, spec,
+                          lambda: compile_kernel(int_body, spec))
+        assert cache.get(float_body, spec,
+                         lambda: compile_kernel(float_body, spec)) is not first
         assert cache.stats.compiled == 2
 
     def test_signed_zero_constants_do_not_share_a_memo_entry(self):
@@ -210,7 +213,7 @@ class TestBackendResolution:
         assert resolve_backend("compiled") is resolve_backend("compiled")
 
     def test_object_passthrough(self):
-        backend = CompiledBackend(cache=KernelCache())
+        backend = CompiledBackend()
         assert resolve_backend(backend) is backend
 
     def test_unknown_backend_raises(self):
@@ -228,6 +231,6 @@ class TestBoundedCacheEviction:
     def test_unbounded_cache_never_evicts(self):
         """Every kernel compiled stays resident: residency equals the
         compile count."""
-        backend = CompiledBackend(cache=KernelCache())
+        backend = CompiledBackend()
         execute(_scaler_graph(2.0, 3.0), backend=backend, iterations=1)
         assert len(backend.cache) == backend.cache.stats.compiled

@@ -2,9 +2,9 @@
 
 A batch kernel is only built when the whole work body is provably
 batchable; everything else — data-dependent control flow, array indices
-derived from stream data — must route to the per-firing
-compiled-closure path, be *recorded* as a fallback with its reason, and
-still be bit-identical to the interpreter.  State updates outside the
+derived from stream data — must replay on the interpreter, be
+*recorded* as a fallback with its reason, and still be bit-identical to
+the interpreter run.  State updates outside the
 modular-affine class ``s ← (a·s + c) % m`` no longer refuse: the affine
 lane names why it cannot take them, and they run on the sequential scan.  These tests pin
 the routing decisions (per actor, through ``ExecutionResult.vectorized``

@@ -1,7 +1,8 @@
 """Static layering check: ``repro.runtime`` sits below the multicore,
 serving and planning layers and must not import them, ``repro.plan``
-sits below the multicore runtime, and the compiler (``repro.simd``) sits
-below the planner.
+sits below the multicore runtime, the compiler (``repro.simd``) sits
+below the planner, and the vector backend is built on the interpreter,
+not on the closure compiler.
 
 ``import repro`` pulls every subpackage in, so ``sys.modules`` cannot show
 a layering leak — the imports are read off the AST instead, function-level
@@ -67,3 +68,10 @@ def test_simd_does_not_import_plan():
     """The planner compiles graphs and reads SIMD prices; the compiler
     never reaches up into the planner."""
     assert _edges_into("simd", ("repro.plan",)) == set()
+
+
+def test_vector_does_not_import_compiled():
+    """A vector run is the interpreter plus batch kernels: it neither
+    subclasses nor builds the closure compiler's kernels."""
+    assert _edges_into("runtime/vector", ("repro.runtime.compiled",)) \
+        == set()
