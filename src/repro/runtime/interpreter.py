@@ -363,17 +363,7 @@ class Interpreter:
         sw = self.rt.simd_width
         lanes = [tape.peek(k * e.stride) for k in range(sw)]
         tape.advance_reader(e.advance)
-        if e.strategy == "scalar":
-            self._charge(ev.SCALAR_LOAD, sw)
-            self._charge(ev.PACK, sw)
-        elif e.strategy == "permute":
-            self._charge(ev.VECTOR_LOAD_U)
-            if e.stride > 1:
-                self._charge(ev.PERMUTE, int(math.log2(e.stride)))
-        elif e.strategy == "sagu":
-            self._charge(ev.VECTOR_LOAD)
-        else:
-            raise InterpreterError(f"unknown gather strategy {e.strategy!r}")
+        self._charge_gather(e.strategy, e.stride, sw)
         return lanes
 
     def _gather_peek(self, e: E.GatherPeek) -> List[Any]:
@@ -381,18 +371,21 @@ class Interpreter:
         sw = self.rt.simd_width
         offset = int(self._eval(e.offset))
         lanes = [tape.peek(offset + k * e.stride) for k in range(sw)]
-        if e.strategy == "scalar":
+        self._charge_gather(e.strategy, e.stride, sw)
+        return lanes
+
+    def _charge_gather(self, strategy: str, stride: int, sw: int) -> None:
+        if strategy == "scalar":
             self._charge(ev.SCALAR_LOAD, sw)
             self._charge(ev.PACK, sw)
-        elif e.strategy == "permute":
+        elif strategy == "permute":
             self._charge(ev.VECTOR_LOAD_U)
-            if e.stride > 1:
-                self._charge(ev.PERMUTE, int(math.log2(e.stride)))
-        elif e.strategy == "sagu":
+            if stride > 1:
+                self._charge(ev.PERMUTE, int(math.log2(stride)))
+        elif strategy == "sagu":
             self._charge(ev.VECTOR_LOAD)
         else:
-            raise InterpreterError(f"unknown gather strategy {e.strategy!r}")
-        return lanes
+            raise InterpreterError(f"unknown gather strategy {strategy!r}")
 
     def _internal_pop(self, buf_id: int) -> Any:
         buf = self.rt.internal.get(buf_id)

@@ -150,7 +150,7 @@ def static_charge(m: MoverMap, in_lane_ordered: Sequence[bool],
     """Events of one firing.  ``*_lane_ordered`` are the adjacent tapes'
     flags by port; an empty ``out_lane_ordered`` is a dangling output
     (loads and lane ops are still charged, stores are not)."""
-    lane = ev.SAGU if has_sagu else ev.ADDR
+    lane = ev.lane_event(has_sagu)
     static = Counter({ev.FIRE: 1})
     for rate, ordered in zip(m.pops, in_lane_ordered):
         if m.op == LANE:

@@ -114,7 +114,6 @@ for the fuzz mutation tests: the differential oracle must catch all four.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from itertools import repeat
@@ -1436,17 +1435,7 @@ class _Builder:
         if not self.is_vec(value):
             self.fail("scatter_push of a scalar value")
         sw = len(value)
-        if stmt.strategy == "scalar":
-            self.charge(ev.SCALAR_STORE, sw)
-            self.charge(ev.UNPACK, sw)
-        elif stmt.strategy == "permute":
-            self.charge(ev.VECTOR_STORE_U)
-            if stmt.stride > 1:
-                self.charge(ev.PERMUTE, int(math.log2(stmt.stride)))
-        elif stmt.strategy == "sagu":
-            self.charge(ev.VECTOR_STORE)
-        else:
-            self.fail(f"unknown scatter strategy {stmt.strategy!r}")
+        self.charge_sheet(ev.scatter_events, stmt.strategy, stmt.stride, sw)
         for lane in range(1, sw):
             self.record_write(self.wcur + lane * stmt.stride, value[lane])
         self.record_write(self.wcur, value[0])
@@ -1462,12 +1451,22 @@ class _Builder:
     def charge_scalar_out(self) -> None:
         self.charge(ev.SCALAR_STORE)
         if self.rt.out_lane_ordered:
-            self.charge(ev.SAGU if self.rt.has_sagu else ev.ADDR)
+            self.charge(ev.lane_event(self.rt.has_sagu))
 
     def charge_scalar_in(self) -> None:
         self.charge(ev.SCALAR_LOAD)
         if self.rt.in_lane_ordered:
-            self.charge(ev.SAGU if self.rt.has_sagu else ev.ADDR)
+            self.charge(ev.lane_event(self.rt.has_sagu))
+
+    def charge_sheet(self, charges: Callable[[str, int, int], ev.Charges],
+                     strategy: str, stride: int, sw: int) -> None:
+        """Charge a gather or scatter; an unknown strategy refuses."""
+        try:
+            pairs = charges(strategy, stride, sw)
+        except ev.UnknownStrategy as exc:
+            self.fail(str(exc))
+        for event, count in pairs:
+            self.charge(event, count)
 
     def require_input(self) -> None:
         if self.rt.input is None:
@@ -1886,17 +1885,7 @@ class _Builder:
             self.checks.append((reg[1], "int"))
             lanes.append(reg)
         self.rcur += advance
-        if strategy == "scalar":
-            self.charge(ev.SCALAR_LOAD, sw)
-            self.charge(ev.PACK, sw)
-        elif strategy == "permute":
-            self.charge(ev.VECTOR_LOAD_U)
-            if stride > 1:
-                self.charge(ev.PERMUTE, int(math.log2(stride)))
-        elif strategy == "sagu":
-            self.charge(ev.VECTOR_LOAD)
-        else:
-            self.fail(f"unknown gather strategy {strategy!r}")
+        self.charge_sheet(ev.gather_events, strategy, stride, sw)
         return lanes
 
     def internal_pop(self, buf_id: int) -> Any:
@@ -1917,27 +1906,11 @@ class _Builder:
             width = len(left) if lv else len(right)
             lt = left if lv else [left] * width
             rt_ = right if rv else [right] * width
-            self.charge(self.vector_op_event(e.op))
+            self.charge(ev.binary_op_event(e.op, vector=True))
             return [self.scalar_binary(e.op, a, b)
                     for a, b in zip(lt, rt_)]
-        self.charge(self.scalar_op_event(e.op))
+        self.charge(ev.binary_op_event(e.op, vector=False))
         return self.scalar_binary(e.op, left, right)
-
-    @staticmethod
-    def scalar_op_event(op: str) -> str:
-        if op == "*":
-            return ev.SCALAR_MUL
-        if op in ("/", "%"):
-            return ev.SCALAR_DIV
-        return ev.SCALAR_ALU
-
-    @staticmethod
-    def vector_op_event(op: str) -> str:
-        if op == "*":
-            return ev.VECTOR_MUL
-        if op in ("/", "%"):
-            return ev.VECTOR_DIV
-        return ev.VECTOR_ALU
 
     def fold_const(self, op: str, a: Any, b: Any) -> Tuple[Any, ...]:
         try:
