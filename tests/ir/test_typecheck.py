@@ -9,6 +9,7 @@ from repro.ir import lvalue as L
 from repro.ir import stmt as S
 from repro.ir.typecheck import check_graph, check_spec
 from repro.ir.types import Vector
+from repro.simd.machine import list_targets
 
 
 def issues_of(work_body, init_body=(), state=(), pop=1, push=1):
@@ -49,6 +50,19 @@ class TestCleanBodies:
         for name in ("RunningExample", "DCT", "DES"):
             compiled = compile_graph(flatten(get_benchmark(name)), CORE_I7)
             assert check_graph(compiled.graph) == [], name
+
+    @pytest.mark.parametrize("target", list_targets())
+    def test_every_app_type_checks_on_every_target(self, target):
+        """Tape reads take the width the IR states, so wide targets
+        (16-lane ``gpu-like``) raise no false width mismatches."""
+        from repro.apps import BENCHMARKS, get_benchmark
+        from repro.graph import flatten
+        from repro.simd import compile_graph, get_target
+        issues = {name: check_graph(compile_graph(
+                      flatten(get_benchmark(name)), get_target(target)).graph)
+                  for name in sorted(BENCHMARKS)}
+        assert len(issues) == 19
+        assert {name: found for name, found in issues.items() if found} == {}
 
 
 class TestVariableErrors:
@@ -164,3 +178,12 @@ class TestVectorRules:
             E.VectorConst((1.0, 2.0, 3.0, 4.0)))),
             S.ExprStmt(E.Pop()))
         assert any("width mismatch" in i for i in issues_of(body))
+
+    def test_tape_reads_take_the_stated_width(self):
+        wide = Vector(FLOAT, 8)
+        body = (S.DeclVar("v", wide, E.VPop()),
+                S.VPush(E.BinaryOp("+", E.Var("v"), E.GatherPop(stride=1))))
+        assert issues_of(body) == []
+        narrow = body + (S.VPush(E.BinaryOp(
+            "+", E.Var("v"), E.VectorConst((1.0, 2.0, 3.0, 4.0)))),)
+        assert any("width mismatch: 8 vs 4" in i for i in issues_of(narrow))
