@@ -28,6 +28,7 @@ from ..ir import lvalue as L
 from ..ir import stmt as S
 from ..ir.types import FLOAT, Vector
 from ..ir.visitors import iter_expr, rewrite_body_stmts, rewrite_expr
+from ..simd.analysis import expr_is_vector
 from ..simd.machine import MachineDescription
 from .profiles import CompilerProfile
 
@@ -92,9 +93,7 @@ def _body_supported(expr: E.Expr, var: str, profile: CompilerProfile,
         elif isinstance(node, E.Select):
             if not profile.if_conversion:
                 return False
-        elif isinstance(node, (E.VPop, E.VPeek, E.GatherPop, E.GatherPeek,
-                               E.InternalPop, E.InternalPeek, E.Broadcast,
-                               E.VectorConst, E.ArrayVec, E.Lane)):
+        elif isinstance(node, E.Lane) or expr_is_vector(node, ()):
             return False  # already-vectorized code: leave alone
     return True
 
