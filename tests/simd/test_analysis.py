@@ -3,7 +3,9 @@
 from repro.graph import FilterSpec, StateVar
 from repro.ir import FLOAT, ArrayHandle, WorkBuilder, call
 from repro.simd import analyze_filter, is_stateful
-from repro.simd.analysis import tainted_vars, written_state_vars
+from repro.ir import expr as E
+from repro.simd.analysis import (expr_is_vector, tainted_vars,
+                                 written_state_vars)
 from repro.simd.machine import CORE_I7, NEON_LIKE
 from repro.simd.segments import horizontal_verdict
 
@@ -149,6 +151,26 @@ class TestTaint:
         b.push(derived)
         assert "a" in tainted_vars(b.build())
         assert "d" in tainted_vars(b.build())
+
+
+class TestLaneKinds:
+    X = E.Var("x")
+
+    def test_lane_read_is_scalar(self):
+        assert not expr_is_vector(self.X.lane(0) + 1.0, {"x"})
+        assert expr_is_vector(self.X + 1.0, {"x"})
+
+    def test_select_is_vector_when_any_operand_is(self):
+        scalar = E.FloatConst(0.0)
+        assert expr_is_vector(E.Select(E.BoolConst(True), self.X, scalar),
+                              {"x"})
+        assert expr_is_vector(E.Select(self.X, scalar, scalar), {"x"})
+        assert not expr_is_vector(
+            E.Select(E.BoolConst(True), scalar, scalar), {"x"})
+
+    def test_array_read_takes_the_array_kind(self):
+        assert not expr_is_vector(E.ArrayRead("a", self.X), {"x"})
+        assert expr_is_vector(E.ArrayRead("x", E.IntConst(0)), {"x"})
 
 
 class TestHorizontalVerdict:
