@@ -5,8 +5,9 @@ Instead of tree-walking the work-function IR on every firing (what
 actor's init/work body **once** into a composition of small Python
 closures, specialised on
 
-* scalar vs. vector operand shapes (a static shape-inference pass),
-* tape access kind (scalar / vector input and output tapes),
+* each value's scalar/vector kind, which the IR states
+  (:func:`repro.simd.analysis.expr_is_vector`, the one lane-kind rule),
+* tape access kind (scalar / vector reads and writes),
 * lane-ordering and SAGU flags of the surrounding tapes.
 
 Two further tricks make the compiled engine fast while keeping the modeled
@@ -21,7 +22,8 @@ cycle counts **bit-identical** to the interpreter:
 * **static event aggregation** — the :class:`~repro.perf.counters.PerfCounters`
   delta of every straight-line block is pre-computed at compile time and
   charged in one batched update per execution of the block, instead of one
-  ``counters.add`` call per IR operation.
+  ``counters.add`` call per IR operation.  Every event is static; only a
+  scatter whose vector is not the kernel's width is recharged at runtime.
 
 The public entry point is :class:`CompiledBackend`, selected through
 ``execute(..., backend="compiled")`` or the ``--backend`` CLI flag.

@@ -105,12 +105,12 @@ class Interpreter:
         if isinstance(stmt, S.Assign):
             self._assign(stmt.lhs, self._eval(stmt.rhs))
         elif isinstance(stmt, S.DeclVar):
-            if stmt.init is not None:
-                value = copy_value(self._eval(stmt.init))
-            elif isinstance(stmt.type, Vector):
-                value = splat(0.0, stmt.type.width)
-            else:
-                value = 0.0
+            value = (0.0 if stmt.init is None
+                     else copy_value(self._eval(stmt.init)))
+            if isinstance(stmt.type, Vector) and not is_vector_value(value):
+                # A vector local holds its initialiser's splat (uncharged,
+                # as a vector array's scalar initialiser is).
+                value = splat(value, stmt.type.width)
             self.env.declare(stmt.name, value)
         elif isinstance(stmt, S.DeclArray):
             self.env.declare(stmt.name, self._make_array(stmt))

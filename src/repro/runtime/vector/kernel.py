@@ -1339,12 +1339,11 @@ class _Builder:
         if isinstance(stmt, S.Assign):
             self.assign(stmt.lhs, self.eval(stmt.rhs))
         elif isinstance(stmt, S.DeclVar):
-            if stmt.init is not None:
-                value = self.copy_av(self.eval(stmt.init))
-            elif isinstance(stmt.type, Vector):
-                value = [("c", 0.0) for _ in range(stmt.type.width)]
-            else:
-                value = ("c", 0.0)
+            value = (("c", 0.0) if stmt.init is None
+                     else self.copy_av(self.eval(stmt.init)))
+            if isinstance(stmt.type, Vector) and not self.is_vec(value):
+                # The interpreter's uncharged splat of a scalar initialiser.
+                value = [value] * stmt.type.width
             self.locals[stmt.name] = value
         elif isinstance(stmt, S.DeclArray):
             self.locals[stmt.name] = self.make_array(stmt)

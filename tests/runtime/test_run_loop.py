@@ -305,30 +305,31 @@ class TestSpanInventory:
 
 
 def _callers_of(name):
-    """``file:function`` of every call ``name(...)`` or ``<x>.name(...)``
-    under ``src/repro/runtime`` and ``src/repro/multicore``."""
+    """``path:function`` of every call ``name(...)`` or ``<x>.name(...)``
+    under ``src/repro`` (paths relative to it)."""
     callers = set()
-    for package in ("runtime", "multicore"):
-        for path in (SRC / package).rglob("*.py"):
-            for func in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(func, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                    continue
-                for node in ast.walk(func):
-                    if isinstance(node, ast.Call) and name == getattr(
-                            node.func, "attr",
-                            getattr(node.func, "id", None)):
-                        callers.add(f"{path.name}:{func.name}")
+    for path in SRC.rglob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and name == getattr(
+                        node.func, "attr", getattr(node.func, "id", None)):
+                    callers.add(f"{path.relative_to(SRC).as_posix()}:"
+                                f"{func.name}")
     return callers
 
 
 class TestStructure:
     def test_phase_sequence_has_one_home(self):
-        assert _callers_of("reset_counters") == {"executor.py:_run_phases"}
+        assert _callers_of("reset_counters") == \
+            {"runtime/executor.py:_run_phases"}
         assert _callers_of("_annotate_tape_fallbacks") == \
-            {"executor.py:_run_slices"}
-        assert _callers_of("_run_phases") == {"executor.py:_run_slices",
-                                              "executor.py:worker"}
+            {"runtime/executor.py:_run_slices"}
+        # The fuzz oracle's checked run goes through the same sequence.
+        assert _callers_of("_run_phases") == {
+            "runtime/executor.py:_run_slices", "runtime/executor.py:worker",
+            "fuzz/harness.py:_run_checked"}
         sources = [(SRC / rel).read_text() for rel in
                    ("runtime/executor.py", "multicore/parallel.py")]
         assert [text.count("cache.stats.snapshot()")
