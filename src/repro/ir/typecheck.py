@@ -3,7 +3,8 @@
 Catches, before anything runs, the mistakes the dynamic interpreter would
 only hit on a reachable path: undeclared variables, scalar/array confusion,
 lane access on scalars, tape operations in ``init`` bodies, wrong intrinsic
-arity, float-to-int narrowing, and branch conditions that are vectors.
+arity, float-to-int narrowing, branch conditions that are vectors, and
+stores that change a name's lane kind (scalar into vector or back).
 
 The checker is deliberately permissive where C is (int widens to float
 implicitly) and strict where streaming semantics demand it (init bodies
@@ -92,6 +93,18 @@ class TypeChecker:
             return True
         return False
 
+    def _check_kind(self, target: Optional[IRType],
+                    value: Optional[IRType], name: str) -> None:
+        """A store keeps its target's lane kind, the kind the lane-kind
+        rule reads the name with: a scalar goes into a vector-typed name
+        only through ``broadcast``, and a vector never goes into a
+        scalar-typed name or lane."""
+        if target is None or value is None:
+            return  # an earlier error already fired, or a buffer read
+        if isinstance(target, Vector) != isinstance(value, Vector):
+            self._issue(f"cannot store {value} into {target} {name!r} "
+                        f"(lane kinds differ)")
+
     # -- statements -------------------------------------------------------------
     def _check_body(self, body: S.Body, scope: Dict[str, _Binding],
                     *, in_init: bool) -> None:
@@ -110,6 +123,10 @@ class TypeChecker:
                 self._issue(
                     f"cannot initialise {stmt.type} {stmt.name!r} "
                     f"from {value}")
+            # A scalar initialiser of a vector local is splatted; a vector
+            # one of a scalar local has no meaning.
+            if not isinstance(stmt.type, Vector):
+                self._check_kind(stmt.type, value, stmt.name)
             scope[stmt.name] = _Binding(stmt.type, False)
         elif isinstance(stmt, S.DeclArray):
             if stmt.name in scope:
@@ -122,6 +139,7 @@ class TypeChecker:
                 self._issue(
                     f"cannot assign {value} to {target} "
                     f"({_lvalue_name(stmt.lhs)!r})")
+            self._check_kind(target, value, _lvalue_name(stmt.lhs))
         elif isinstance(stmt, (S.Push, S.VPush)):
             if in_init:
                 self._issue("tape push in init body")
@@ -271,7 +289,8 @@ class TypeChecker:
             if isinstance(cond, Vector) and not (isinstance(a, Vector)
                                                  or isinstance(b, Vector)):
                 self._issue("vector select over scalar arms")
-            return a or b
+            return next((ty for ty in (a, b) if isinstance(ty, Vector)),
+                        a or b)
         if isinstance(expr, (E.Pop, E.Peek)):
             if in_init:
                 self._issue("tape read in init body")
